@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 
 using namespace mix::smt;
 
@@ -74,13 +73,15 @@ void SolverBase::bumpVerdict(SolveResult R) {
       .inc();
 }
 
-void SolverBase::noteExternalQuery(SolveResult R, uint64_t DurUs) {
-  ++QueryCount;
-  CQueries.inc();
-  bumpVerdict(R);
+void SolverBase::recordTiming(SolveResult R, uint64_t StartUs,
+                              uint64_t DurUs) {
   HQueryUs.record(DurUs);
   if (Opts.Telemetry)
     Opts.Telemetry->addPhase(obs::Phase::Solver, DurUs);
+  if (Opts.Trace)
+    Opts.Trace->complete("solver.query", "solver", StartUs, DurUs,
+                         std::string("{\"result\": \"") + solveResultName(R) +
+                             "\"}");
 }
 
 SolveResult SolverBase::checkSat(const Term *Formula, SmtModel *ModelOut) {
@@ -100,36 +101,7 @@ SolveResult SolverBase::checkSat(const Term *Formula, SmtModel *ModelOut) {
     }
   }
 
-  // The uninstrumented run is the common case: every sink null, so the
-  // whole observability layer costs three branches per query and no
-  // clock reads.
-  if (!HQueryUs && !Opts.Trace && !Opts.Telemetry) {
-    SolveResult R = decide(Formula, ModelOut);
-    ++QueryCount;
-    CQueries.inc();
-    bumpVerdict(R);
-    if (UseCache && R != SolveResult::Unknown)
-      Opts.Cache->store(CacheKey, R);
-    return R;
-  }
-
-  uint64_t Start = Opts.Trace ? Opts.Trace->nowUs() : 0;
-  auto T0 = std::chrono::steady_clock::now();
-  SolveResult R = decide(Formula, ModelOut);
-  uint64_t DurUs =
-      (uint64_t)std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - T0)
-          .count();
-  ++QueryCount;
-  CQueries.inc();
-  bumpVerdict(R);
-  HQueryUs.record(DurUs);
-  if (Opts.Telemetry)
-    Opts.Telemetry->addPhase(obs::Phase::Solver, DurUs);
-  if (Opts.Trace)
-    Opts.Trace->complete("solver.query", "solver", Start, DurUs,
-                         std::string("{\"result\": \"") + solveResultName(R) +
-                             "\"}");
+  SolveResult R = bookDecision([&] { return decide(Formula, ModelOut); });
   if (UseCache && R != SolveResult::Unknown)
     Opts.Cache->store(CacheKey, R);
   return R;

@@ -36,6 +36,7 @@
 #include "solver/Term.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -210,16 +211,20 @@ public:
   const SmtOptions &options() const final { return Opts; }
   uint64_t queries() const final { return QueryCount; }
 
-  /// Books one decision made outside checkSat — a native incremental
-  /// stack solving its asserted conjunction in place — under the same
-  /// counters and histogram, so "solver.queries" means "backend
-  /// decisions" in both modes and incremental savings are directly
-  /// comparable.
-  void noteExternalQuery(SolveResult R, uint64_t DurUs);
-
 protected:
   /// The actual decision procedure.
   virtual SolveResult decide(const Term *Formula, SmtModel *ModelOut) = 0;
+
+  /// Runs \p Decide — one backend decision — and books it under the
+  /// query and verdict counters. Only when a latency histogram, trace or
+  /// telemetry sink is attached is the decision timed (into the
+  /// histogram, the request's solver phase and a "solver.query" span), so
+  /// the uninstrumented run reads no clock. checkSat and native
+  /// incremental stacks (which solve their asserted conjunction in place)
+  /// both decide through here, so "solver.queries" means "backend
+  /// decisions" in both modes and incremental savings are directly
+  /// comparable.
+  template <typename Fn> SolveResult bookDecision(Fn &&Decide);
 
   /// True when the cooperative cancellation flag is raised.
   bool cancelled() const {
@@ -231,6 +236,7 @@ protected:
 
 private:
   void bumpVerdict(SolveResult R);
+  void recordTiming(SolveResult R, uint64_t StartUs, uint64_t DurUs);
 
   uint64_t QueryCount = 0;
 
@@ -238,6 +244,28 @@ private:
   obs::Counter CQueries, CSat, CUnsat, CUnknown;
   obs::Histogram HQueryUs;
 };
+
+template <typename Fn> SolveResult SolverBase::bookDecision(Fn &&Decide) {
+  if (!HQueryUs && !Opts.Trace && !Opts.Telemetry) {
+    SolveResult R = Decide();
+    ++QueryCount;
+    CQueries.inc();
+    bumpVerdict(R);
+    return R;
+  }
+  uint64_t StartUs = Opts.Trace ? Opts.Trace->nowUs() : 0;
+  auto T0 = std::chrono::steady_clock::now();
+  SolveResult R = Decide();
+  uint64_t DurUs =
+      (uint64_t)std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - T0)
+          .count();
+  ++QueryCount;
+  CQueries.inc();
+  bumpVerdict(R);
+  recordTiming(R, StartUs, DurUs);
+  return R;
+}
 
 } // namespace mix::smt
 

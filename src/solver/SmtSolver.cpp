@@ -11,7 +11,7 @@
 #include "solver/SmtInternals.h"
 
 #include <cassert>
-#include <chrono>
+#include <memory>
 
 using namespace mix::smt;
 using namespace mix::smt::detail;
@@ -100,6 +100,29 @@ SolveResult runTheoryLoop(SatSolver &Sat, TseitinEncoder &Encoder,
 
 } // namespace
 
+SmtSolver::SmtSolver(TermArena &Arena, SmtOptions Opts)
+    : SolverBase(Arena, Opts) {
+  if (Opts.Metrics) {
+    CDecisions = Opts.Metrics->counter("solver.sat.decisions");
+    CPropagations = Opts.Metrics->counter("solver.sat.propagations");
+    CConflicts = Opts.Metrics->counter("solver.sat.conflicts");
+    CRecycles = Opts.Metrics->counter("solver.inc.recycles");
+  }
+}
+
+void SmtSolver::noteSatWork(const SatSolver::Stats &Before,
+                            const SatSolver::Stats &After) {
+  uint64_t Decisions = After.Decisions - Before.Decisions;
+  uint64_t Propagations = After.Propagations - Before.Propagations;
+  uint64_t Conflicts = After.Conflicts - Before.Conflicts;
+  Statistics.Decisions += Decisions;
+  Statistics.Propagations += Propagations;
+  Statistics.Conflicts += Conflicts;
+  CDecisions.add(Decisions);
+  CPropagations.add(Propagations);
+  CConflicts.add(Conflicts);
+}
+
 SolveResult SmtSolver::decide(const Term *Formula, SmtModel *ModelOut) {
   ++Statistics.Queries;
   assert(Formula->isBool() && "checkSat() requires a boolean formula");
@@ -122,74 +145,103 @@ SolveResult SmtSolver::decide(const Term *Formula, SmtModel *ModelOut) {
   Lit Root = Encoder.encode(F);
   Sat.addClause({Root});
 
-  return runTheoryLoop(Sat, Encoder, /*Assumptions=*/{}, Opts, Statistics,
-                       ModelOut);
+  SolveResult R = runTheoryLoop(Sat, Encoder, /*Assumptions=*/{}, Opts,
+                                Statistics, ModelOut);
+  noteSatWork(SatSolver::Stats(), Sat.stats());
+  return R;
 }
 
 namespace mix::smt {
 
-/// The native incremental stack over the smtlite engine: one persistent
-/// SAT solver + Tseitin encoder for the stack's whole lifetime. Every
-/// frame f gets an activation literal a_f; a frame's assertions are added
-/// as clauses (~a_f \/ encoded) and a check solves under the assumptions
+/// The native incremental stack over the smtlite engine. Every frame f
+/// gets an activation literal a_f; a frame's assertions are added as
+/// clauses (~a_f \/ encoded) and a check solves under the assumptions
 /// {a_f | f live}. pop() adds the unit clause ~a_f, which permanently
 /// satisfies (neutralizes) the frame's guarded clauses *and* every
 /// learned clause whose derivation used them (such clauses contain ~a_f).
 /// Ite-lowering definitions are unguarded: they define fresh variables
 /// and are valid independent of which frames are live. Re-pushed frames
 /// get fresh activation literals, so retirement is permanent per literal.
+///
+/// Retired frames still cost: every solve re-propagates each ~a_f unit
+/// and every theory check runs over every atom ever encoded (dead atoms
+/// included, whose arbitrary polarities can also exhaust the LIA
+/// disequality-split cap and turn a verdict into Unknown). So all SAT
+/// state lives in an Epoch, and a pop() that leaves no live frame
+/// discards it for a fresh one into which the base-level assertions, if
+/// any, are replayed. PathSolver pops to the common prefix, so each new
+/// function or block exploration starts small instead of inheriting the
+/// whole session. The base class's caches are keyed by terms, not SAT
+/// variables, and survive the switch.
 class SmtLiteStack : public AssertionStack {
 public:
   explicit SmtLiteStack(SmtSolver &Owner)
-      : AssertionStack(Owner), Owner(Owner), Lowering(Owner.arena()),
-        Encoder(Sat) {
-    Sat.setInterrupt(Owner.options().Cancel);
-    // Base-level activation literal: never retired (base assertions are
-    // permanent), but keeps every clause uniformly guarded.
-    ActLits.push_back(freshActivation());
+      : AssertionStack(Owner), Owner(Owner) {
+    startEpoch();
   }
 
 protected:
-  void onPush() override { ActLits.push_back(freshActivation()); }
+  void onPush() override { E->ActLits.push_back(E->freshActivation()); }
 
   void onPop() override {
-    Sat.addClause({~ActLits.back()});
-    ActLits.pop_back();
+    if (depth() == 0) {
+      // Only the permanent base level is live: replay it into a fresh
+      // epoch and drop everything the popped frames left behind.
+      startEpoch();
+      ++Owner.Statistics.Recycles;
+      Owner.CRecycles.inc();
+      for (const Term *T : assertions())
+        onAssert(T);
+      return;
+    }
+    E->Sat.addClause({~E->ActLits.back()});
+    E->ActLits.pop_back();
   }
 
   void onAssert(const Term *T) override {
-    const Term *F = Lowering.lower(T);
+    const Term *F = E->Lowering.lower(T);
     // Encode definitions introduced since the last assert, unguarded.
-    const auto &Defs = Lowering.definitions();
-    for (; DefsEncoded != Defs.size(); ++DefsEncoded)
-      Sat.addClause({Encoder.encode(Defs[DefsEncoded])});
-    Sat.addClause({~ActLits.back(), Encoder.encode(F)});
+    const auto &Defs = E->Lowering.definitions();
+    for (; E->DefsEncoded != Defs.size(); ++E->DefsEncoded)
+      E->Sat.addClause({E->Encoder.encode(Defs[E->DefsEncoded])});
+    E->Sat.addClause({~E->ActLits.back(), E->Encoder.encode(F)});
   }
 
   SolveResult solveCurrent(SmtModel *ModelOut) override {
-    auto T0 = std::chrono::steady_clock::now();
-    SolveResult R = runTheoryLoop(Sat, Encoder, ActLits, Owner.options(),
-                                  Owner.Statistics, ModelOut);
-    uint64_t DurUs =
-        (uint64_t)std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - T0)
-            .count();
     ++Owner.Statistics.Queries;
-    // Book the decision under the owner's counters so "solver.queries"
-    // means "backend decisions" with and without incremental mode.
-    Owner.noteExternalQuery(R, DurUs);
+    SatSolver::Stats Before = E->Sat.stats();
+    SolveResult R = Owner.bookDecision([&] {
+      return runTheoryLoop(E->Sat, E->Encoder, E->ActLits, Owner.options(),
+                           Owner.Statistics, ModelOut);
+    });
+    Owner.noteSatWork(Before, E->Sat.stats());
     return R;
   }
 
 private:
-  Lit freshActivation() { return Lit(Sat.newVar(), /*Negated=*/false); }
+  /// Everything numbered by SAT variables: discarded as a whole.
+  struct Epoch {
+    explicit Epoch(TermArena &Arena) : Lowering(Arena), Encoder(Sat) {}
+
+    Lit freshActivation() { return Lit(Sat.newVar(), /*Negated=*/false); }
+
+    SatSolver Sat;
+    detail::IteLowering Lowering;
+    detail::TseitinEncoder Encoder;
+    std::vector<Lit> ActLits; ///< base + one per open frame
+    size_t DefsEncoded = 0;   ///< watermark into Lowering.definitions()
+  };
+
+  void startEpoch() {
+    E = std::make_unique<Epoch>(Owner.arena());
+    E->Sat.setInterrupt(Owner.options().Cancel);
+    // Base-level activation literal: never retired (base assertions are
+    // permanent), but keeps every clause uniformly guarded.
+    E->ActLits.push_back(E->freshActivation());
+  }
 
   SmtSolver &Owner;
-  SatSolver Sat;
-  detail::IteLowering Lowering;
-  detail::TseitinEncoder Encoder;
-  std::vector<Lit> ActLits; ///< base + one per open frame
-  size_t DefsEncoded = 0;   ///< watermark into Lowering.definitions()
+  std::unique_ptr<Epoch> E;
 };
 
 } // namespace mix::smt

@@ -158,6 +158,18 @@ TEST_F(CFrontTest, ParseErrors) {
   EXPECT_EQ(parse("void f(void) MIX(wrong) { }"), nullptr);
 }
 
+TEST_F(CFrontTest, IntegerLiteralOutOfRangeIsLexError) {
+  // Untrusted input: an over-long literal is reported, not wrapped.
+  EXPECT_EQ(parse("int x = 99999999999999999999;"), nullptr);
+  ASSERT_FALSE(Diags.diagnostics().empty());
+  EXPECT_EQ(Diags.diagnostics()[0].ID, mix::DiagID::LexError);
+  EXPECT_EQ(Diags.diagnostics()[0].Message, "integer literal out of range");
+  EXPECT_EQ(Diags.diagnostics()[0].Loc, mix::SourceLoc(1, 9));
+
+  const CProgram *P = parse("int x = 9223372036854775807;");
+  ASSERT_NE(P, nullptr) << Diags.str();
+}
+
 // --- sema -------------------------------------------------------------------
 
 TEST_F(CFrontTest, SemaTypesExpressions) {

@@ -67,6 +67,32 @@ TEST(LexerTest, IntegerLiteral) {
   EXPECT_EQ(T.IntValue, 12345);
 }
 
+TEST(LexerTest, IntegerLiteralAtLimit) {
+  DiagnosticEngine Diags;
+  Lexer Lex("9223372036854775807", Diags);
+  Token T = Lex.next();
+  EXPECT_EQ(T.Kind, TokenKind::IntLit);
+  EXPECT_EQ(T.IntValue, 9223372036854775807LL);
+  EXPECT_FALSE(Diags.hasErrors());
+}
+
+TEST(LexerTest, IntegerLiteralOutOfRangeReported) {
+  // Untrusted input: an over-long literal is a lex error, not a wrapped
+  // (signed-overflow) value. The whole literal is consumed.
+  for (const char *Source : {"99999999999999999999", "9223372036854775808"}) {
+    SCOPED_TRACE(Source);
+    DiagnosticEngine Diags;
+    Lexer Lex(Source, Diags);
+    Token T = Lex.next();
+    EXPECT_EQ(T.Kind, TokenKind::Error);
+    EXPECT_EQ(T.Loc, SourceLoc(1, 1));
+    ASSERT_EQ(Diags.diagnostics().size(), 1u);
+    EXPECT_EQ(Diags.diagnostics()[0].ID, DiagID::LexError);
+    EXPECT_EQ(Diags.diagnostics()[0].Message, "integer literal out of range");
+    EXPECT_EQ(Lex.next().Kind, TokenKind::Eof);
+  }
+}
+
 TEST(LexerTest, OperatorsAndPunctuation) {
   auto Kinds = lexAll("+ - = < <= ( ) ! := : ; ->");
   std::vector<TokenKind> Expected = {

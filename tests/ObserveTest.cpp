@@ -5,14 +5,17 @@
 //
 // Covers the contracts DESIGN.md section 10 promises: exact counter
 // totals under concurrent increments, detached (null) handles as no-ops,
-// and Chrome-trace JSON that a strict parser accepts with the expected
-// event structure.
+// Chrome-trace JSON that a strict parser accepts with the expected
+// event structure, and the solver's own counters and spans (SAT search
+// work, stack epochs, one span per stack query).
 //
 //===----------------------------------------------------------------------===//
 
 #include "observe/Metrics.h"
 #include "observe/Phase.h"
 #include "observe/Trace.h"
+#include "solver/AssertionStack.h"
+#include "solver/SmtSolver.h"
 
 #include "TestJson.h"
 
@@ -578,6 +581,81 @@ TEST(ThreadSlotTest, StableWithinThreadDistinctAcross) {
   unsigned Other = Main;
   std::thread([&Other] { Other = threadSlot(); }).join();
   EXPECT_NE(Other, Main);
+}
+
+//===----------------------------------------------------------------------===//
+// Solver instrumentation
+//===----------------------------------------------------------------------===//
+
+TEST(SolverMetricsTest, SatCountersSumOneShotAndStackSolves) {
+  using namespace mix::smt;
+  MetricsRegistry Reg;
+  TermArena A;
+  SmtOptions Opts;
+  Opts.Metrics = &Reg;
+  SmtSolver S(A, Opts);
+  const Term *X = A.freshIntVar("x");
+  const Term *F = A.andTerm(A.orTerm(A.freshBoolVar("p"), A.freshBoolVar("q")),
+                            A.lt(A.intConst(0), X));
+  ASSERT_EQ(S.checkSat(F), SolveResult::Sat);
+  uint64_t OneShotProps = Reg.counterValue("solver.sat.propagations");
+  EXPECT_GT(OneShotProps, 0u);
+  EXPECT_GT(Reg.counterValue("solver.sat.decisions"), 0u);
+
+  // Each round pops back to the empty stack, which starts a fresh epoch.
+  // Distinct constants keep every round a real query (no cache shortcut).
+  std::unique_ptr<AssertionStack> St = S.openStack();
+  for (long long K = 0; K != 3; ++K) {
+    St->push();
+    St->assertTerm(A.andTerm(A.lt(X, A.intConst(K)), A.lt(A.intConst(K), X)));
+    EXPECT_EQ(St->checkSat(), SolveResult::Unsat);
+    St->pop();
+  }
+  EXPECT_EQ(Reg.counterValue("solver.queries"), 4u);
+  EXPECT_GT(Reg.counterValue("solver.sat.propagations"), OneShotProps);
+  EXPECT_EQ(Reg.counterValue("solver.sat.decisions"), S.stats().Decisions);
+  EXPECT_EQ(Reg.counterValue("solver.sat.propagations"),
+            S.stats().Propagations);
+  EXPECT_EQ(Reg.counterValue("solver.sat.conflicts"), S.stats().Conflicts);
+  EXPECT_EQ(Reg.counterValue("solver.inc.recycles"), 3u);
+  EXPECT_EQ(S.stats().Recycles, 3u);
+
+  // Both export surfaces carry them.
+  testjson::Value Doc;
+  std::string Error;
+  ASSERT_TRUE(testjson::parseDocument(Reg.renderJSON(), Doc, &Error)) << Error;
+  for (const char *Name : {"solver.sat.decisions", "solver.sat.propagations",
+                           "solver.sat.conflicts", "solver.inc.recycles"})
+    EXPECT_TRUE(Doc["counters"].has(Name)) << Name;
+  EXPECT_EQ(Doc["counters"]["solver.inc.recycles"].Num, 3);
+  std::string Text = Reg.renderOpenMetrics();
+  EXPECT_NE(Text.find("# TYPE mix_solver_sat_propagations counter\n"),
+            std::string::npos);
+  EXPECT_NE(Text.find("mix_solver_inc_recycles_total 3\n"), std::string::npos);
+}
+
+TEST(SolverMetricsTest, StackQueriesEmitSpans) {
+  using namespace mix::smt;
+  TraceSink Sink;
+  TermArena A;
+  SmtOptions Opts;
+  Opts.Trace = &Sink;
+  SmtSolver S(A, Opts);
+  std::unique_ptr<AssertionStack> St = S.openStack();
+  St->push();
+  St->assertTerm(A.lt(A.intConst(0), A.freshIntVar("x")));
+  ASSERT_EQ(St->checkSat(), SolveResult::Sat);
+  St->push();
+  St->assertTerm(A.falseTerm());
+  ASSERT_EQ(St->checkSat(), SolveResult::Unsat); // constant fold: no query
+  size_t Spans = 0;
+  for (const TraceEvent &E : Sink.snapshotEvents())
+    if (E.Name == "solver.query") {
+      ++Spans;
+      EXPECT_EQ(E.Cat, "solver");
+      EXPECT_EQ(E.Args, "{\"result\": \"sat\"}");
+    }
+  EXPECT_EQ(Spans, 1u);
 }
 
 } // namespace

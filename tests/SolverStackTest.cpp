@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "solver/AssertionStack.h"
+#include "solver/SmtSolver.h"
 #include "solver/SolverFactory.h"
 #include "solver/TermEval.h"
 
@@ -310,4 +311,126 @@ TEST(SolverStackTest, RandomBranchSequencesMatchFromScratch) {
       }
     }
   }
+}
+
+namespace {
+
+/// randomBranch, plus (one time in four) a comparison over an if-then-else
+/// integer term, so ite lowering is exercised across stack epochs.
+const Term *randomDelta(TermArena &A, const VarPool &V, std::mt19937 &Rng) {
+  if (Rng() % 4 != 0)
+    return randomBranch(A, V, Rng);
+  const Term *Ite =
+      A.iteInt(V.Bools[Rng() % V.Bools.size()], V.Ints[Rng() % V.Ints.size()],
+               A.intConst((long long)(Rng() % 5) - 2));
+  return A.lt(Ite, A.intConst((long long)(Rng() % 5) - 2));
+}
+
+/// One push/assert/check cycle of 1-3 random frames on \p St, each
+/// verdict checked against a fresh stack on \p Oracle that first replays
+/// \p Base; leaves St at the depth it started at.
+void checkedCycle(TermArena &A, const VarPool &V, std::mt19937 &Rng,
+                  AssertionStack &St, ISolver &Oracle,
+                  const std::vector<const Term *> &Base, unsigned Cycle) {
+  std::unique_ptr<AssertionStack> Fresh = Oracle.openStack();
+  for (const Term *T : Base)
+    Fresh->assertTerm(T);
+  unsigned NumFrames = 1 + Rng() % 3;
+  for (unsigned F = 0; F != NumFrames; ++F) {
+    const Term *Delta = randomDelta(A, V, Rng);
+    St.push();
+    St.assertTerm(Delta);
+    Fresh->push();
+    Fresh->assertTerm(Delta);
+    SolveResult Got = St.checkSat();
+    SolveResult Want = Fresh->checkSat();
+    ASSERT_EQ(Got, Want) << "cycle " << Cycle << " frame " << F << ": "
+                         << solveResultName(Got) << " vs fresh "
+                         << solveResultName(Want);
+  }
+  for (unsigned F = 0; F != NumFrames; ++F)
+    St.pop();
+}
+
+/// Options for the long-session stacks under test: a theory-iteration cap
+/// far above what one cycle's few frames need, so a session that degrades
+/// fails fast as an Unknown verdict instead of grinding through the
+/// default 50000 rounds per query.
+SmtOptions sessionOptions() {
+  SmtOptions Opts;
+  Opts.MaxTheoryIterations = 1000;
+  return Opts;
+}
+
+} // namespace
+
+TEST(SolverStackTest, SessionAgeDoesNotSlowQueries) {
+  // One smtlite stack for 2000 cycles of push/assert/check/pop-to-empty,
+  // the shape of a long exploration session. Verdicts must match a fresh
+  // stack every cycle. Each cycle also ends with one probe query of
+  // fixed shape (only its constant changes, so no cache answers it):
+  // the probe must cost no more SAT propagations 1900 cycles in than it
+  // did at the start — popped frames must not accumulate.
+  const unsigned Cycles = 2000, Window = 100;
+  TermArena A;
+  VarPool V(A);
+  SmtSolver Inc(A, sessionOptions()), Scratch(A);
+  std::unique_ptr<AssertionStack> St = Inc.openStack();
+  uint64_t FirstProps = 0, LastProps = 0;
+  for (unsigned Cycle = 0; Cycle != Cycles; ++Cycle) {
+    std::mt19937 Rng(0x5eed6001 + Cycle);
+    checkedCycle(A, V, Rng, *St, Scratch, {}, Cycle);
+    if (HasFatalFailure())
+      return;
+    ASSERT_EQ(St->depth(), 0u);
+
+    const Term *K = A.intConst(Cycle);
+    uint64_t Props = Inc.stats().Propagations, Queries = Inc.stats().Queries;
+    St->push();
+    St->assertTerm(A.andTerm(A.lt(V.Ints[0], K), A.lt(K, V.Ints[0])));
+    ASSERT_EQ(St->checkSat(), SolveResult::Unsat) << "cycle " << Cycle;
+    St->pop();
+    ASSERT_EQ(Inc.stats().Queries, Queries + 1) << "cycle " << Cycle;
+    Props = Inc.stats().Propagations - Props;
+    if (Cycle < Window)
+      FirstProps += Props;
+    else if (Cycle >= Cycles - Window)
+      LastProps += Props;
+  }
+  EXPECT_GT(FirstProps, 0u);
+  EXPECT_LE(LastProps, FirstProps)
+      << "mean propagations per probe grew from " << FirstProps / Window
+      << " to " << LastProps / Window;
+  // Every cycle popped to empty twice: once after the random frames, once
+  // after the probe.
+  EXPECT_EQ(Inc.stats().Recycles, 2u * Cycles);
+}
+
+TEST(SolverStackTest, BaseLevelAssertionsSurviveEpochs) {
+  // Each return to the base level starts a fresh epoch, which must carry
+  // the permanent base-level assertion over, cycle after cycle. Without
+  // epochs this session degrades: the theory check sees every atom ever
+  // encoded, and dead equalities defaulting to false pile up disequality
+  // splits until verdicts turn Unknown.
+  const unsigned Cycles = 500;
+  TermArena A;
+  VarPool V(A);
+  SmtSolver Inc(A, sessionOptions()), Scratch(A);
+  std::unique_ptr<AssertionStack> St = Inc.openStack();
+  const Term *Base = A.le(A.intConst(1), V.Ints[0]); // x0 >= 1
+  St->assertTerm(Base);
+  for (unsigned Cycle = 0; Cycle != Cycles; ++Cycle) {
+    std::mt19937 Rng(0x5eed7001 + Cycle);
+    checkedCycle(A, V, Rng, *St, Scratch, {Base}, Cycle);
+    if (HasFatalFailure())
+      return;
+    ASSERT_EQ(St->depth(), 0u);
+    ASSERT_EQ(St->numAssertions(), 1u);
+  }
+  EXPECT_EQ(Inc.stats().Recycles, Cycles);
+  St->push();
+  St->assertTerm(A.lt(V.Ints[0], A.intConst(1))); // x0 < 1: contradiction
+  EXPECT_EQ(St->checkSat(), SolveResult::Unsat);
+  St->pop();
+  EXPECT_EQ(St->checkSat(), SolveResult::Sat);
 }
