@@ -128,7 +128,7 @@ void Lexer::skipWhitespaceAndComments() {
       unsigned Depth = 1;
       while (Depth != 0) {
         if (atEnd()) {
-          Diags.error(Start, "unterminated comment", DiagID::LexError);
+          error(Start, "unterminated comment");
           return;
         }
         if (peek() == '(' && peek(1) == '*') {
@@ -147,6 +147,11 @@ void Lexer::skipWhitespaceAndComments() {
     }
     return;
   }
+}
+
+void Lexer::error(SourceLoc Loc, const std::string &Message) {
+  HadError = true;
+  Diags.error(Loc, Message, DiagID::LexError);
 }
 
 Token Lexer::makeToken(TokenKind Kind, SourceLoc Loc) const {
@@ -191,7 +196,7 @@ Token Lexer::lexNumber() {
       Value = Value * 10 + Digit;
   }
   if (!InRange) {
-    Diags.error(Start, "integer literal out of range", DiagID::LexError);
+    error(Start, "integer literal out of range");
     return makeToken(TokenKind::Error, Start);
   }
   Token T = makeToken(TokenKind::IntLit, Start);
@@ -265,8 +270,7 @@ Token Lexer::next() {
     break;
   }
 
-  Diags.error(Start, std::string("unexpected character '") + C + "'",
-              DiagID::LexError);
+  error(Start, std::string("unexpected character '") + C + "'");
   Token T = makeToken(TokenKind::Error, Start);
   T.Text = std::string(1, C);
   return T;

@@ -34,6 +34,11 @@ public:
   /// The current source location of the cursor.
   SourceLoc loc() const { return {Line, Column}; }
 
+  /// True once any lexical error has been reported. Some (an
+  /// unterminated comment) produce no Error token, so a parser must check
+  /// this as well as the token stream.
+  bool hadError() const { return HadError; }
+
 private:
   char peek(size_t LookAhead = 0) const;
   char advance();
@@ -42,12 +47,14 @@ private:
   Token lexIdentOrKeyword();
   Token lexNumber();
   Token makeToken(TokenKind Kind, SourceLoc Loc) const;
+  void error(SourceLoc Loc, const std::string &Message);
 
   std::string_view Source;
   DiagnosticEngine &Diags;
   size_t Pos = 0;
   uint32_t Line = 1;
   uint32_t Column = 1;
+  bool HadError = false;
 };
 
 } // namespace mix

@@ -43,6 +43,10 @@ const Expr *Parser::parseProgram() {
           " after expression");
     return nullptr;
   }
+  // A lexical error fails the parse even when the tokens still form an
+  // expression (an unterminated comment just ends the stream).
+  if (Lex.hadError())
+    return nullptr;
   return E;
 }
 

@@ -42,7 +42,8 @@ public:
   Parser(std::string_view Source, AstContext &Ctx, DiagnosticEngine &Diags);
 
   /// Parses a complete program (a single expression followed by EOF).
-  /// Returns null and reports diagnostics on failure.
+  /// Returns null and reports diagnostics on failure, including when the
+  /// lexer reported an error.
   const Expr *parseProgram();
 
 private:

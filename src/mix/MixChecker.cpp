@@ -206,8 +206,8 @@ std::string MixChecker::describeWitness(const SymEnv &Env,
 }
 
 void MixChecker::reportPathError(const PathResult &P, SourceLoc BlockLoc,
-                                 const SymEnv &Env, const smt::SmtModel &Model,
-                                 const std::string &DecidedBy) {
+                                 const SymEnv &Env,
+                                 const smt::SmtModel &Model) {
   SourceLoc Loc = P.ErrorLoc.isValid() ? P.ErrorLoc : BlockLoc;
   size_t Idx = Diags.report(DiagKind::Error, Loc,
                             P.ErrorMessage + " [on path " +
@@ -220,7 +220,7 @@ void MixChecker::reportPathError(const PathResult &P, SourceLoc BlockLoc,
     W.PathCondition = P.State.Path->str();
     W.Model = witnessBindings(Env, Model);
     W.ModelComplete = Model.Complete;
-    W.DecidedBy = DecidedBy;
+    W.DecidedBy = Solver->name();
     Payload->Witness = std::move(W);
     Diags.attachProvenance(Idx, std::move(Payload));
     Opts.Prov->countWitness();
@@ -308,10 +308,8 @@ const Type *MixChecker::checkSymbolicCore(const Expr *Body,
       }
       if (P.IsError) {
         smt::SmtModel Model;
-        std::string DecidedBy;
-        Solver->checkSatDecided(Translator.translate(P.State.Path), &Model,
-                                DecidedBy);
-        reportPathError(P, Loc, Env, Model, DecidedBy);
+        Solver->checkSat(Translator.translate(P.State.Path), &Model);
+        reportPathError(P, Loc, Env, Model);
         return nullptr;
       }
       Live.push_back(&P);
@@ -319,9 +317,7 @@ const Type *MixChecker::checkSymbolicCore(const Expr *Body,
   } else {
     for (const PathResult &P : Result.Paths) {
       smt::SmtModel Model;
-      std::string DecidedBy;
-      if (Solver->checkSatDecided(Translator.translate(P.State.Path), &Model,
-                                  DecidedBy) ==
+      if (Solver->checkSat(Translator.translate(P.State.Path), &Model) ==
           smt::SolveResult::Unsat) {
         ++Statistics.InfeasiblePathsDiscarded;
         CInfeasible.inc();
@@ -330,7 +326,7 @@ const Type *MixChecker::checkSymbolicCore(const Expr *Body,
       if (P.IsError) {
         // A concrete witness makes the report actionable: values for the
         // block's inputs under which the failing path is taken.
-        reportPathError(P, Loc, Env, Model, DecidedBy);
+        reportPathError(P, Loc, Env, Model);
         return nullptr;
       }
       Live.push_back(&P);

@@ -76,8 +76,7 @@ struct MixOptions {
   smt::SmtOptions Smt;
 
   /// Which solver backend answers feasibility/exhaustiveness queries,
-  /// and whether each instance (the shared solver and every pooled
-  /// worker) races the full registered portfolio.
+  /// for the shared solver and every pooled worker.
   smt::SolverSpec Solver;
 
   /// Observability sinks (see src/observe/). The checker copies these
@@ -198,8 +197,7 @@ private:
   /// Reports the SymExecError for failed path \p P (with its witness
   /// note) and, when provenance is on, attaches the witness-path payload.
   void reportPathError(const PathResult &P, SourceLoc BlockLoc,
-                       const SymEnv &Env, const smt::SmtModel &Model,
-                       const std::string &DecidedBy);
+                       const SymEnv &Env, const smt::SmtModel &Model);
 
   /// The executor configuration implied by \p Opts (adjusts the strategy
   /// for concolic exploration).

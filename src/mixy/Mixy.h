@@ -37,21 +37,19 @@
 /// boundaries — all a block exchanges with its caller is a calling
 /// context (the BlockKey) and a translated summary (the SymOutcome) — so
 /// their evaluations run concurrently on a work-stealing pool, scheduled
-/// by the engine fixpoint driver (src/engine/Fixpoint.h). The default
-/// schedule is the dependency-aware worklist: static dependency edges
-/// between frontier call sites (call graph reachability to pointer-global
-/// writers, pointer signatures, alias coupling) are condensed into SCCs,
-/// each SCC iterates to its own fixpoint, and an SCC's dependents start
-/// the moment it stabilizes — a block re-runs as soon as its inputs
-/// change instead of waiting for a whole-program round barrier. A final
-/// validation sweep (plain Jacobi rounds) guarantees the least fixpoint
-/// even where the static edges under-approximate. The historical
-/// round-barrier schedule remains selectable via
-/// MixyOptions::ParallelSchedule. Frontier calls met during constraint
+/// by the engine fixpoint driver's dependency-aware worklist
+/// (src/engine/Fixpoint.h): static dependency edges between frontier
+/// call sites (call graph reachability to pointer-global writers, pointer
+/// signatures, alias coupling) are condensed into SCCs, each SCC iterates
+/// to its own fixpoint, and an SCC's dependents start the moment it
+/// stabilizes — a block re-runs as soon as its inputs change instead of
+/// waiting for a whole-program round. A final validation sweep (plain
+/// Jacobi rounds) guarantees the least fixpoint even where the static
+/// edges under-approximate. Frontier calls met during constraint
 /// generation are *deferred* to the fixpoint instead of being analyzed
 /// inline; that is just more of the optimism the paper already requires a
-/// fixpoint for, and the qualifier constraint system is monotone, so both
-/// schedules converge to the same least solution as the serial
+/// fixpoint for, and the qualifier constraint system is monotone, so the
+/// worklist converges to the same least solution as the serial
 /// Gauss-Seidel-style loop. Every worker owns its executor, solver, term
 /// arena, block stack, and diagnostic buffer; the shared qualifier graph
 /// is only touched under a lock (by nested symbolic-to-typed switches and
@@ -104,15 +102,6 @@ struct MixyOptions {
   /// serial engine, byte-for-byte identical to the pre-parallel driver;
   /// N > 1 evaluates independent symbolic blocks on N workers.
   unsigned Jobs = 1;
-  /// Parallel fixpoint schedule (only meaningful with Jobs > 1). The
-  /// default worklist condenses static site-dependency edges into SCCs
-  /// and re-runs a block as soon as its inputs change; RoundBarrier is
-  /// the historical Jacobi schedule (evaluate every changed site, join,
-  /// apply, repeat). Both converge to the same least solution, so this
-  /// is a performance knob, not a semantic one — it is deliberately
-  /// excluded from mixyPersistFingerprint().
-  enum class Schedule { Worklist, RoundBarrier };
-  Schedule ParallelSchedule = Schedule::Worklist;
   CSymOptions Sym;
   QualOptions Qual;
   smt::SmtOptions Smt;
@@ -125,9 +114,8 @@ struct MixyOptions {
   /// engines, which is why this knob — like Jobs and IncrementalSolver —
   /// is deliberately excluded from mixyPersistFingerprint().
   SymExecOptions::Engine ExecMode = SymExecOptions::Engine::Ast;
-  /// Which solver backend answers feasibility queries (and whether every
-  /// instance races the full registered portfolio). Applies to the serial
-  /// solver and every pooled worker instance alike.
+  /// Which solver backend answers feasibility queries. Applies to the
+  /// serial solver and every pooled worker instance alike.
   smt::SolverSpec Solver;
 
   /// Observability sinks (see src/observe/). The analysis copies these
@@ -395,8 +383,7 @@ private:
   /// Lazily builds the calling pool worker's private context.
   WorkerContext &workerContext();
   /// The typed-start driver for Jobs > 1. Seats the fixpoint on
-  /// engine::FixpointDriver — the dependency-aware worklist by default,
-  /// the historical round barrier via MixyOptions::ParallelSchedule.
+  /// engine::FixpointDriver's dependency-aware worklist.
   unsigned runTypedParallel(const CFuncDecl *EntryFunc);
   /// Builds the engine configuration (cache sharding, recursion budget,
   /// metrics prefixes) from the analysis options.
@@ -406,11 +393,9 @@ private:
   bool refreshSite(size_t I);
   /// Evaluates one wave of changed sites: distinct calling contexts run
   /// concurrently on the pool, then summaries are applied in site order.
-  /// Buffered (worklist) waves stash their diagnostic slices under Tag
-  /// for a post-fixpoint merge in tag order; unbuffered (round-barrier)
-  /// waves merge immediately at the barrier.
-  void evaluateWave(const std::vector<size_t> &Sites, uint64_t Tag,
-                    bool Buffered);
+  /// The wave's diagnostic slices are stashed under Tag for a
+  /// post-fixpoint merge in tag order.
+  void evaluateWave(const std::vector<size_t> &Sites, uint64_t Tag);
   /// Static dependency edges between frontier call sites for the
   /// worklist schedule: site I influences site J when I's summary can
   /// move J's calling context (pointer signature, reachable
@@ -427,7 +412,7 @@ private:
   /// indirect store counts conservatively.
   bool writesPointerGlobal(const CStmt *S,
                            const std::set<std::string> &PtrGlobals);
-  /// Appends a round's worker diagnostics to the shared engine in
+  /// Appends a wave's worker diagnostics to the shared engine in
   /// deterministic order, deduplicating warnings across workers the same
   /// way one executor deduplicates across runs.
   void mergeRoundDiagnostics(const std::vector<std::vector<Diagnostic>> &Per);

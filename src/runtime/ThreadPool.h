@@ -131,7 +131,7 @@ private:
 
 /// The pool. Construction spawns the workers; destruction joins them
 /// after draining nothing (outstanding futures must be awaited first by
-/// the owner — the analyses join at round barriers).
+/// the owner — the analyses join on every future they submit).
 class ThreadPool {
 public:
   /// \p Workers threads are spawned. 0 means inline execution: submit()

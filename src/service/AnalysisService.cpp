@@ -132,7 +132,6 @@ uint64_t AnalysisService::requestKey(const AnalysisRequest &Req,
   H.boolean(Req.Explain);
   H.boolean(Req.Trace);
   H.str(Req.Solver.Backend);
-  H.boolean(Req.Solver.Portfolio);
   H.str(Req.CacheDir);
   H.boolean(Req.Incremental);
   // Jobs is deliberately excluded: results are jobs-invariant.

@@ -31,12 +31,6 @@ QueryCache::~QueryCache() = default;
 
 ISolver::~ISolver() = default;
 
-SolveResult ISolver::checkSatDecided(const Term *Formula, SmtModel *ModelOut,
-                                     std::string &DecidedBy) {
-  DecidedBy = name();
-  return checkSat(Formula, ModelOut);
-}
-
 std::unique_ptr<AssertionStack> ISolver::openStack() {
   return std::make_unique<AssertionStack>(*this);
 }

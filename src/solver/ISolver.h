@@ -9,9 +9,9 @@
 /// The backend-neutral solver interface the rest of the project talks to.
 /// The paper's prototype used STP behind a thin wrapper; this project now
 /// keeps the same shape: every satisfiability engine (the SMT-lite
-/// DPLL(T) core, the DNF/Fourier-Motzkin backend, the racing portfolio)
-/// implements ISolver, and clients select one through SolverFactory
-/// (`--solver=NAME` on the CLIs).
+/// DPLL(T) core and the DNF/Fourier-Motzkin backend) implements ISolver,
+/// and clients select one through SolverFactory (`--solver=NAME` on the
+/// CLIs).
 ///
 /// Three-valued results: Unknown arises only from resource caps; every
 /// client in this project treats Unknown in the conservative direction
@@ -129,9 +129,9 @@ struct SmtOptions {
   QueryCache *Cache = nullptr;
 
   /// Cooperative cancellation: when non-null and set, the backend aborts
-  /// the in-flight query at its next safe point and returns Unknown. The
-  /// portfolio uses this to stop losing backends once a definitive
-  /// answer arrived.
+  /// the in-flight query at its next safe point and returns Unknown, so a
+  /// cancelled query never yields an unproven verdict. This is the seam a
+  /// caller's deadline uses to stop work with a sound, incomplete answer.
   const std::atomic<bool> *Cancel = nullptr;
 };
 
@@ -141,23 +141,15 @@ class ISolver {
 public:
   virtual ~ISolver();
 
-  /// Stable backend name ("smtlite", "dnf", "portfolio", ...): the
-  /// SolverFactory registration key, the `--solver=` value, and the
-  /// provenance label for "which backend decided this witness".
+  /// Stable backend name ("smtlite", "dnf", ...): the SolverFactory
+  /// registration key, the `--solver=` value, and the provenance label
+  /// for "which backend decided this witness".
   virtual const char *name() const = 0;
 
   /// Is \p Formula (bool sort) satisfiable? When \p ModelOut is non-null
   /// and the answer is Sat, it receives a satisfying assignment.
   virtual SolveResult checkSat(const Term *Formula,
                                SmtModel *ModelOut = nullptr) = 0;
-
-  /// checkSat, additionally reporting which backend decided the verdict
-  /// in \p DecidedBy. For plain backends that is name(); the portfolio
-  /// reports the racing winner. Diagnostic provenance uses this so
-  /// --explain can attribute a witness (and in particular an Unknown kept
-  /// in the conservative direction) to the backend that produced it.
-  virtual SolveResult checkSatDecided(const Term *Formula, SmtModel *ModelOut,
-                                      std::string &DecidedBy);
 
   /// Opens an incremental assertion stack over this backend. The default
   /// is the generic emulation (re-solve the asserted conjunction, with

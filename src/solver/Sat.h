@@ -81,8 +81,8 @@ public:
 
   /// Installs a cooperative interrupt flag (null to clear): when the flag
   /// becomes true, the next main-loop iteration abandons the search and
-  /// returns SatResult::Interrupted. Used by the portfolio to stop losing
-  /// backends.
+  /// returns SatResult::Interrupted. SmtOptions::Cancel reaches the search
+  /// through this flag.
   void setInterrupt(const std::atomic<bool> *Flag) { InterruptFlag = Flag; }
 
   /// After solve() returns Sat: the model value of \p Var.

@@ -13,9 +13,8 @@
 /// parallel block analyses acquire one per task or pin one per worker for
 /// the lifetime of a parallel analysis run.
 ///
-/// The pool builds whatever the SolverSpec selects — a plain backend or a
-/// full racing portfolio per instance — so `--solver` / `--solver-portfolio`
-/// apply uniformly to the parallel engines.
+/// The pool builds whatever backend the SolverSpec selects, so `--solver`
+/// applies uniformly to the parallel engines.
 ///
 /// Instances are reused across leases (arena allocations amortize), and
 /// statistics survive reuse so a pool-wide query count can be reported.
@@ -79,7 +78,7 @@ public:
 
   /// \p MaxIdle caps how many returned instances are kept for reuse;
   /// acquire() beyond the cap still succeeds with a fresh instance. The
-  /// default spec builds the default backend (smtlite, no portfolio).
+  /// default spec builds the default backend (smtlite).
   explicit SolverPool(SmtOptions Opts = SmtOptions(),
                       SolverSpec Spec = SolverSpec(), size_t MaxIdle = 64)
       : Opts(Opts), Spec(Spec), MaxIdle(MaxIdle) {}

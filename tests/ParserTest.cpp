@@ -145,3 +145,17 @@ TEST(ParserTest, ErrorProducesDiagnostic) {
   EXPECT_EQ(E, nullptr);
   EXPECT_TRUE(Diags.hasErrors());
 }
+
+TEST(ParserTest, LexerErrorFailsTheParse) {
+  // An unterminated comment yields no Error token — the stream just ends
+  // after "1 + 2" — but the program must still be rejected.
+  AstContext Ctx;
+  DiagnosticEngine Diags;
+  const Expr *E = parseExpression("1 + 2 (* x", Ctx, Diags);
+  EXPECT_EQ(E, nullptr);
+  ASSERT_EQ(Diags.errorCount(), 1u);
+  EXPECT_EQ(Diags.diagnostics()[0].ID, DiagID::LexError);
+  EXPECT_EQ(Diags.diagnostics()[0].Message, "unterminated comment");
+  EXPECT_EQ(parsePrint("1 + 2 (* x"), "<error>");
+  EXPECT_EQ(parsePrint("1 + 2 (* x *)"), "(1 + 2)");
+}

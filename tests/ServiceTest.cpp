@@ -66,7 +66,6 @@ TEST(ProtocolTest, FullMixCheckRequestGoldenRoundTrip) {
   Req.Explain = true;
   Req.Jobs = 4;
   Req.Solver.Backend = "dnf";
-  Req.Solver.Portfolio = true;
   Req.Trace = true;
   Req.CacheDir = "/tmp/mixcache";
   Req.Incremental = true;
@@ -84,7 +83,7 @@ TEST(ProtocolTest, FullMixCheckRequestGoldenRoundTrip) {
       "{\"version\": 1, \"tool\": \"mixcheck\", \"source\": \"1 + x\", "
       "\"input_name\": \"demo.mix\", \"format\": \"sarif\", "
       "\"explain\": true, \"jobs\": 4, \"solver\": \"dnf\", "
-      "\"solver_portfolio\": true, \"trace\": true, "
+      "\"trace\": true, "
       "\"cache_dir\": \"/tmp/mixcache\", \"incremental\": true, "
       "\"mode\": \"symbolic\", \"auto_place\": true, "
       "\"print_program\": true, \"strategy\": \"defer\", "
@@ -102,7 +101,6 @@ TEST(ProtocolTest, FullMixCheckRequestGoldenRoundTrip) {
   EXPECT_EQ(Out.OutputFormat, service::Format::Sarif);
   EXPECT_EQ(Out.Jobs, 4u);
   EXPECT_EQ(Out.Solver.Backend, "dnf");
-  EXPECT_TRUE(Out.Solver.Portfolio);
   EXPECT_EQ(Out.Strategy, SymExecOptions::Strategy::Defer);
   EXPECT_EQ(Out.Havoc, SymExecOptions::HavocPolicy::WriteEffects);
   EXPECT_EQ(Out.Explore, MixOptions::Exploration::Concolic);
@@ -178,6 +176,17 @@ TEST(ProtocolTest, RequestDecodeIsStrict) {
   // Not JSON at all: the parse error surfaces.
   EXPECT_FALSE(service::decodeRequest("{not json", Out, Error));
   EXPECT_FALSE(Error.empty());
+}
+
+TEST(ProtocolTest, RemovedSolverPortfolioFieldIsRejected) {
+  // A version-1 client that still sends the retired solver_portfolio
+  // field gets the strict decoder's error, not a silently ignored knob.
+  service::AnalysisRequest Out;
+  std::string Error;
+  EXPECT_FALSE(service::decodeRequest(
+      "{\"version\": 1, \"tool\": \"mixy\", \"solver_portfolio\": true}",
+      Out, Error));
+  EXPECT_EQ(Error, "unknown request field 'solver_portfolio'");
 }
 
 TEST(ProtocolTest, UnicodeEscapesDecodeToUtf8) {

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
 
 using namespace mix::smt;
@@ -433,4 +434,42 @@ TEST(SolverStackTest, BaseLevelAssertionsSurviveEpochs) {
   EXPECT_EQ(St->checkSat(), SolveResult::Unsat);
   St->pop();
   EXPECT_EQ(St->checkSat(), SolveResult::Sat);
+}
+
+TEST(SolverStackTest, CancelYieldsUnknownNeverUnsat) {
+  // A raised SmtOptions::Cancel stops work with a sound, incomplete
+  // answer: Unknown on satisfiable and unsatisfiable formulas alike, from
+  // scratch and through the incremental stack. Lowering the flag again
+  // must leave no cached trace of the cancelled queries.
+  for (const std::string &Name : registeredBackends()) {
+    SCOPED_TRACE("backend: " + Name);
+    std::atomic<bool> Cancel{true};
+    SmtOptions Opts;
+    Opts.Cancel = &Cancel;
+    TermArena A;
+    std::unique_ptr<ISolver> S = createBackend(Name, A, Opts);
+    ASSERT_NE(S, nullptr);
+    const Term *X = A.freshIntVar("x");
+    const Term *Positive = A.lt(A.intConst(0), X); // x > 0
+    const Term *Contradiction = A.andTerm(Positive, A.lt(X, A.intConst(0)));
+
+    EXPECT_EQ(S->checkSat(Positive), SolveResult::Unknown);
+    EXPECT_EQ(S->checkSat(Contradiction), SolveResult::Unknown);
+
+    std::unique_ptr<AssertionStack> St = S->openStack();
+    St->push();
+    St->assertTerm(Positive);
+    EXPECT_EQ(St->checkSat(), SolveResult::Unknown);
+    St->push();
+    St->assertTerm(A.lt(X, A.intConst(0)));
+    EXPECT_EQ(St->checkSat(), SolveResult::Unknown);
+
+    Cancel = false;
+    EXPECT_EQ(St->checkSat(), SolveResult::Unsat);
+    St->pop();
+    EXPECT_EQ(St->checkSat(), SolveResult::Sat);
+    St->pop();
+    EXPECT_EQ(S->checkSat(Positive), SolveResult::Sat);
+    EXPECT_EQ(S->checkSat(Contradiction), SolveResult::Unsat);
+  }
 }

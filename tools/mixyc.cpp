@@ -169,15 +169,14 @@ int main(int Argc, char **Argv) {
            << Reg.counterValue("mixy.recursions") << "\n"
            // The shared engine layer's view of the same run: blocks it
            // scheduled, cache hits it served, and how the fixpoint was
-           // driven (dependency-aware worklist re-runs vs round-barrier
-           // rounds).
+           // driven (worklist re-runs and rounds with changes).
            << "engine blocks scheduled  : "
            << Reg.counterValue("engine.mixy.blocks") << "\n"
            << "engine cache hits        : "
            << Reg.counterValue("engine.cache.mixy.hits") << "\n"
            << "worklist re-runs         : "
            << Reg.counterValue("engine.worklist.reruns") << "\n"
-           << "round-barrier rounds     : "
+           << "engine fixpoint rounds   : "
            << Reg.counterValue("engine.fixpoint.rounds") << "\n";
       // The IR engine's mini-C coverage: bodies lowered once (then served
       // from the per-function cache) and bodies that fell back to the AST
