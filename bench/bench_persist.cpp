@@ -86,11 +86,12 @@ void BM_Mixy_Cold(benchmark::State &State) {
   std::filesystem::remove_all(Dir);
 }
 
-/// Warm: the cache directory is pre-filled once outside the timed loop;
-/// every iteration replays block summaries from disk.
-void BM_Mixy_Warm(benchmark::State &State) {
-  std::string Source = scaledSource(State);
-  std::string Dir = benchDir("warm" + std::to_string(State.range(0)));
+/// A warm run of \p Source against a cache directory pre-filled once
+/// outside the timed loop: every iteration replays block summaries from
+/// disk.
+void runWarm(benchmark::State &State, const std::string &Source,
+             const std::string &Tag) {
+  std::string Dir = benchDir(Tag + std::to_string(State.range(0)));
   std::filesystem::remove_all(Dir);
   analyzeOnce(Source, Dir, nullptr); // fill
   uint64_t Hits = 0, Misses = 0;
@@ -105,10 +106,32 @@ void BM_Mixy_Warm(benchmark::State &State) {
   std::filesystem::remove_all(Dir);
 }
 
+void BM_Mixy_Warm(benchmark::State &State) {
+  runWarm(State, scaledSource(State), "warm");
+}
+
+/// Warm runs over growing module counts with no symbolic filler: the
+/// replayed block work stays constant, so this axis shows how the
+/// per-run bookkeeping (qualifier inference, content and
+/// dependency-closure hashes) scales with program size.
+void BM_Mixy_WarmScaled(benchmark::State &State) {
+  runWarm(State,
+          corpus::vsftpdScaled(/*Annotated=*/true,
+                               /*Modules=*/(unsigned)State.range(0),
+                               /*Symbolic=*/0),
+          "warmscaled");
+}
+
 } // namespace
 
 BENCHMARK(BM_Mixy_NoCache)->Arg(2)->Arg(6)->Arg(12)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Mixy_Cold)->Arg(2)->Arg(6)->Arg(12)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Mixy_Warm)->Arg(2)->Arg(6)->Arg(12)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Mixy_WarmScaled)
+    ->Arg(25)
+    ->Arg(50)
+    ->Arg(100)
+    ->Arg(200)
+    ->Unit(benchmark::kMillisecond);
 
 MIX_BENCH_MAIN(persist)

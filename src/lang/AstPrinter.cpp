@@ -7,9 +7,22 @@
 
 #include "lang/AstPrinter.h"
 
+#include <climits>
+
 using namespace mix;
 
 namespace {
+
+/// The core syntax has no negative literals (nor a unary minus), so a
+/// negative value prints as a subtraction from zero. LLONG_MIN needs one
+/// more step: the lexer cannot read its magnitude, 2^63.
+std::string printIntLit(long long V) {
+  if (V >= 0)
+    return std::to_string(V);
+  if (V == LLONG_MIN)
+    return "((0 - " + std::to_string(LLONG_MAX) + ") - 1)";
+  return "(0 - " + std::to_string(-V) + ")";
+}
 
 /// Recursive printer. Wraps each compound subexpression in parentheses so
 /// precedence never needs to be reconstructed.
@@ -20,7 +33,7 @@ public:
     case ExprKind::Var:
       return cast<VarExpr>(E)->name();
     case ExprKind::IntLit:
-      return std::to_string(cast<IntLitExpr>(E)->value());
+      return printIntLit(cast<IntLitExpr>(E)->value());
     case ExprKind::BoolLit:
       return cast<BoolLitExpr>(E)->value() ? "true" : "false";
     case ExprKind::Binary: {

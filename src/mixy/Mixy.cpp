@@ -165,7 +165,8 @@ MixyAnalysis::dependencyEdges(bool &SawIndirect) {
   // typedRegionFrom) and on its qualifier-alias neighbors:
   // restoreAliasing unifies qualifiers of variables sharing a points-to
   // class, so an edit to one such function can shift another's calling
-  // context.
+  // context. Consumers only ask what is reachable, so a group that must
+  // all reach each other is linked as a ring (k edges, not k*(k-1)).
   std::map<const CFuncDecl *, std::vector<const CFuncDecl *>> Deps;
   SawIndirect = false;
   for (const CFuncDecl *F : Program.Funcs) {
@@ -175,33 +176,26 @@ MixyAnalysis::dependencyEdges(bool &SawIndirect) {
     collectCallees(F->body(), Callees, SawIndirect);
     Deps[F].assign(Callees.begin(), Callees.end());
   }
+  auto AddRing = [&](const std::vector<const CFuncDecl *> &Ring) {
+    for (size_t I = 0; I != Ring.size(); ++I)
+      Deps[Ring[I]].push_back(Ring[(I + 1) % Ring.size()]);
+  };
   if (SawIndirect) {
     std::vector<const CFuncDecl *> All;
-    for (const auto &[F, D] : Deps) {
-      (void)D;
-      All.push_back(F);
-    }
     for (auto &[F, D] : Deps) {
-      (void)F;
-      D = All;
+      All.push_back(F);
+      D.clear(); // subsumed: every function reaches every other
     }
+    AddRing(All);
   } else {
-    for (PointsToAnalysis::CellId Cell = 1; Cell <= PtrAnal.numCells();
-         ++Cell) {
-      if (PtrAnal.find(Cell) != Cell)
-        continue;
-      std::set<const CFuncDecl *> Owners;
-      for (const auto &[Func, Name] : PtrAnal.variablesInClass(Cell)) {
-        (void)Name;
-        if (Func && Func->isDefined())
-          Owners.insert(Func);
-      }
-      if (Owners.size() < 2)
-        continue;
-      for (const CFuncDecl *A : Owners)
-        for (const CFuncDecl *B : Owners)
-          if (A != B)
-            Deps[A].push_back(B);
+    for (const auto &[Cell, Owners] : PtrAnal.ownersByClass()) {
+      (void)Cell;
+      std::vector<const CFuncDecl *> Defined;
+      for (const CFuncDecl *F : Owners)
+        if (F->isDefined())
+          Defined.push_back(F);
+      if (Defined.size() >= 2)
+        AddRing(Defined);
     }
   }
   return Deps;

@@ -403,8 +403,10 @@ private:
   /// over-approximation is not required — the driver's validation sweep
   /// catches anything these edges miss.
   std::vector<std::pair<size_t, size_t>> buildSiteGraph();
-  /// Direct call-graph edges between defined functions (all-to-all when
-  /// an indirect call makes the callee set unknowable), shared by the
+  /// Dependency edges between defined functions: the direct call graph
+  /// plus a ring over each qualifier-alias class (one ring over every
+  /// defined function when an indirect call makes the callee set
+  /// unknowable). Only reachability is meaningful. Shared by the
   /// persistent-cache closure hashes and the site graph.
   std::map<const CFuncDecl *, std::vector<const CFuncDecl *>>
   dependencyEdges(bool &SawIndirect);

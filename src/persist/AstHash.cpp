@@ -9,8 +9,11 @@
 
 #include "cfront/CPrinter.h"
 #include "support/Hash.h"
+#include "support/Scc.h"
 
 #include <algorithm>
+#include <bit>
+#include <unordered_map>
 
 using namespace mix::persist;
 using namespace mix::c;
@@ -62,35 +65,76 @@ std::map<const CFuncDecl *, uint64_t> mix::persist::closureHashes(
     const std::map<const CFuncDecl *, uint64_t> &Content,
     const std::map<const CFuncDecl *, std::vector<const CFuncDecl *>> &Deps,
     uint64_t EnvHash) {
+  // Index every node. Functions with content come first, ordered by
+  // content hash, so walking a cone's bits in index order yields its
+  // hashes already sorted; content-less nodes (extern callees, say)
+  // follow.
+  std::vector<std::pair<uint64_t, const CFuncDecl *>> Sorted;
+  for (const auto &[F, Hash] : Content)
+    Sorted.emplace_back(Hash, F);
+  std::sort(Sorted.begin(), Sorted.end());
+  size_t NumContent = Sorted.size();
+  std::unordered_map<const CFuncDecl *, size_t> Index;
+  auto Intern = [&](const CFuncDecl *F) { Index.emplace(F, Index.size()); };
+  for (const auto &[Hash, F] : Sorted)
+    Intern(F);
+  for (const auto &[F, Targets] : Deps) {
+    Intern(F);
+    for (const CFuncDecl *T : Targets)
+      Intern(T);
+  }
+  size_t N = Index.size();
+  std::vector<std::vector<size_t>> Adj(N);
+  for (const auto &[F, Targets] : Deps) {
+    std::vector<size_t> &Out = Adj[Index.at(F)];
+    for (const CFuncDecl *T : Targets)
+      Out.push_back(Index.at(T));
+    std::sort(Out.begin(), Out.end());
+    Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+  }
+
+  // Condense once. Tarjan emits sinks first, so every successor SCC's
+  // cone is complete before a predecessor needs it: an SCC's cone is its
+  // own members OR its successors' cones, as a node bitset. All members
+  // of an SCC reach the same set, so they share one digest.
+  std::vector<std::vector<size_t>> Sccs = tarjanSccs(N, Adj);
+  std::vector<size_t> SccOf(N);
+  for (size_t S = 0; S != Sccs.size(); ++S)
+    for (size_t V : Sccs[S])
+      SccOf[V] = S;
+  size_t Words = (N + 63) / 64;
+  std::vector<std::vector<uint64_t>> Cones(Sccs.size());
   std::map<const CFuncDecl *, uint64_t> Out;
-  for (const auto &[F, Hash] : Content) {
-    (void)Hash;
-    // Plain BFS reachability (reflexive), so mutual recursion and shared
-    // helpers are handled without any SCC machinery.
-    std::vector<const CFuncDecl *> Work{F};
-    std::map<const CFuncDecl *, bool> Seen{{F, true}};
-    std::vector<uint64_t> Cone;
-    while (!Work.empty()) {
-      const CFuncDecl *Cur = Work.back();
-      Work.pop_back();
-      auto It = Content.find(Cur);
-      if (It != Content.end())
-        Cone.push_back(It->second);
-      auto DepIt = Deps.find(Cur);
-      if (DepIt == Deps.end())
-        continue;
-      for (const CFuncDecl *Next : DepIt->second)
-        if (Seen.emplace(Next, true).second)
-          Work.push_back(Next);
+  for (size_t S = 0; S != Sccs.size(); ++S) {
+    std::vector<uint64_t> &Cone = Cones[S];
+    Cone.assign(Words, 0);
+    for (size_t V : Sccs[S]) {
+      Cone[V / 64] |= uint64_t(1) << (V % 64);
+      for (size_t W : Adj[V])
+        if (SccOf[W] != S)
+          for (size_t I = 0; I != Words; ++I)
+            Cone[I] |= Cones[SccOf[W]][I];
     }
-    // Sorted, so the digest is independent of traversal order.
-    std::sort(Cone.begin(), Cone.end());
+    // Members are sorted, so this SCC holds content iff its first does.
+    if (Sccs[S].front() >= NumContent)
+      continue;
+    // One entry per function, so equal content hashes still count twice.
+    std::vector<uint64_t> Hashes;
+    for (size_t I = 0; I * 64 < NumContent; ++I)
+      for (uint64_t Bits = Cone[I]; Bits; Bits &= Bits - 1) {
+        size_t V = I * 64 + (size_t)std::countr_zero(Bits);
+        if (V < NumContent)
+          Hashes.push_back(Sorted[V].first);
+      }
     StableHasher H;
     H.u64(EnvHash);
-    H.u32((uint32_t)Cone.size());
-    for (uint64_t C : Cone)
+    H.u32((uint32_t)Hashes.size());
+    for (uint64_t C : Hashes)
       H.u64(C);
-    Out[F] = H.digest();
+    uint64_t Digest = H.digest();
+    for (size_t V : Sccs[S])
+      if (V < NumContent)
+        Out.emplace(Sorted[V].second, Digest);
   }
   return Out;
 }

@@ -19,12 +19,18 @@
 ///    (struct layouts, globals with initializers, and extern function
 ///    signatures).
 ///  - closureHashes: each function's *dependency-closure* hash — the
-///    digest of the sorted content hashes of everything reachable over
-///    the dependency edges (call graph plus qualifier-alias neighbors),
-///    folded with the environment hash. Persistent block keys embed the
-///    closure hash, so invalidation is by construction: any edit in a
-///    block's dependency cone changes the key and the stale entry simply
-///    never matches again.
+///    digest of the environment hash, the count, and the sorted content
+///    hashes of everything reachable over the dependency edges (call
+///    graph plus qualifier-alias neighbors). Persistent block keys embed
+///    the closure hash, so invalidation is by construction: any edit in
+///    a block's dependency cone changes the key, the stale entry never
+///    matches again, and the store drops it at the next save (it is
+///    never marked used).
+///
+/// The closure is computed in one pass: the graph is condensed into SCCs
+/// (support/Scc.h), each SCC's reachable set is a bitset built sinks
+/// first from its successors', and all members of an SCC share one
+/// digest. That is O(N+E) plus the size of the cones being digested.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,9 +55,10 @@ uint64_t functionContentHash(const c::CFuncDecl &F);
 uint64_t environmentHash(const c::CProgram &P);
 
 /// Dependency-closure hashes: for every function F in \p Content, the
-/// digest of the sorted content hashes of all functions reachable from F
-/// over \p Deps (reflexively), combined with \p EnvHash. Cycles are fine
-/// (reachability, not recursion).
+/// digest of \p EnvHash, the count, and the sorted content hashes of all
+/// functions in \p Content reachable from F over \p Deps (reflexively;
+/// one entry per function). Cycles, self-loops, duplicate edges and
+/// targets outside \p Content (extern callees) are all fine.
 std::map<const c::CFuncDecl *, uint64_t> closureHashes(
     const std::map<const c::CFuncDecl *, uint64_t> &Content,
     const std::map<const c::CFuncDecl *, std::vector<const c::CFuncDecl *>>

@@ -91,6 +91,12 @@ private:
 /// The persistent block-summary store. Payloads are opaque byte strings:
 /// the analysis that owns the summaries (MIXY) encodes and decodes them,
 /// so this layer needs no knowledge of SymOutcome or diagnostics.
+///
+/// Mark-on-use: an entry is marked when a lookup hits it or a store
+/// writes it, and encode() writes only marked entries. Keys embed the
+/// dependency-closure hash, so an entry the run never touched belongs to
+/// code that has since changed; it is dropped at the next save instead
+/// of accumulating across edits.
 class BlockSummaryStore {
 public:
   explicit BlockSummaryStore(obs::MetricsRegistry *Metrics);
@@ -98,15 +104,22 @@ public:
   std::optional<std::string> lookup(uint64_t Key);
   void store(uint64_t Key, std::string Payload);
 
+  /// Every entry held, marked or not.
   size_t size() const;
   void clear();
 
+  /// RecordFile payloads for the marked entries / the inverse, which
+  /// loads every entry unmarked.
   std::vector<std::string> encode() const;
   bool decode(const std::vector<std::string> &Records);
 
 private:
+  struct Entry {
+    std::string Payload;
+    bool Used = false;
+  };
   mutable std::mutex M;
-  std::unordered_map<uint64_t, std::string> Map;
+  std::unordered_map<uint64_t, Entry> Map;
   obs::Counter CHits, CMisses, CStores;
 };
 

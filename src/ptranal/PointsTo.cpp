@@ -366,3 +366,12 @@ PointsToAnalysis::variablesInClass(CellId Cell) {
       Out.push_back(Key);
   return Out;
 }
+
+std::map<PointsToAnalysis::CellId, std::set<const CFuncDecl *>>
+PointsToAnalysis::ownersByClass() {
+  std::map<CellId, std::set<const CFuncDecl *>> Out;
+  for (const auto &[Key, Id] : VarCells)
+    if (Key.first)
+      Out[find(Id)].insert(Key.first);
+  return Out;
+}

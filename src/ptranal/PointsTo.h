@@ -25,6 +25,7 @@
 #include "cfront/CSema.h"
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,12 @@ public:
   /// symbolic to typed blocks (Section 4.2).
   std::vector<std::pair<const CFuncDecl *, std::string>>
   variablesInClass(CellId Cell);
+
+  /// For every class holding a function's local or parameter: the
+  /// functions owning such variables, keyed by class representative
+  /// (globals own none). One pass over all variables, where calling
+  /// variablesInClass per class would rescan them for every class.
+  std::map<CellId, std::set<const CFuncDecl *>> ownersByClass();
 
   /// Number of cells allocated (an imprecision metric for benches).
   unsigned numCells() const { return (unsigned)Parents.size() - 1; }

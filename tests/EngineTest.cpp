@@ -303,6 +303,9 @@ struct ChainSystem {
     FixpointCallbacks CB;
     CB.NumSites = [this] { return Ctx.size(); };
     CB.Refresh = [this](size_t I) {
+      // Locked too: with under-approximated edges, a neighbor's wave can
+      // write Val[I - 1] on another worker while this reads it.
+      std::lock_guard<std::mutex> Lock(WavesM);
       int New = I == 0 ? Target : Val[I - 1];
       if (New == Ctx[I])
         return false;
@@ -326,7 +329,7 @@ struct ChainSystem {
 
   int Target;
   std::vector<int> Ctx, Val;
-  std::mutex WavesM;
+  std::mutex WavesM; ///< guards Ctx, Val and Waves
   std::vector<std::pair<uint64_t, std::vector<size_t>>> Waves;
 };
 

@@ -22,6 +22,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <string>
 
 using namespace mix;
@@ -413,6 +415,99 @@ int main(void) {
   EXPECT_EQ(Warm.FuncsChanged, 1u); // helper's content
   EXPECT_EQ(Warm.FuncsDirty, 3u);   // helper, middle, main
   EXPECT_EQ(Warm.BlockHits, 0u);    // middle's old summary must not match
+}
+
+/// A fresh session on \p Dir, holding what runMixy last saved there.
+std::unique_ptr<persist::PersistSession> reopen(const std::string &Dir) {
+  persist::PersistOptions PO;
+  PO.Dir = Dir;
+  PO.Incremental = true;
+  PO.BlockFingerprint = mixyPersistFingerprint(MixyOptions());
+  auto S = std::make_unique<persist::PersistSession>(std::move(PO));
+  EXPECT_TRUE(S->degradedReason().empty()) << S->degradedReason();
+  return S;
+}
+
+size_t storedBlockCount(const std::string &Dir) {
+  return reopen(Dir)->blocks().size();
+}
+
+TEST(MixyPersistTest, StaleSummariesAreDroppedAtTheNextSave) {
+  // Each edit of island strands its previous summary under an old key.
+  // Only summaries the run used (hit or stored) are written back, so
+  // after any number of edits the store holds exactly what a cold run of
+  // the final version would.
+  TempDir D("stale");
+  for (int Edit = 2; Edit <= 6; ++Edit)
+    runMixy(incrementalCorpus("  return x + " + std::to_string(Edit) + ";"),
+            D.Path);
+  TempDir Fresh("stale_cold");
+  RunResult Cold = runMixy(incrementalCorpus("  return x + 6;"), Fresh.Path);
+  EXPECT_GT(Cold.BlockStores, 0u);
+  EXPECT_EQ(storedBlockCount(D.Path), storedBlockCount(Fresh.Path));
+  // An unchanged rerun keeps every summary it replayed.
+  RunResult Warm = runMixy(incrementalCorpus("  return x + 6;"), D.Path);
+  EXPECT_EQ(Warm.BlockMisses, 0u);
+  EXPECT_EQ(storedBlockCount(D.Path), storedBlockCount(Fresh.Path));
+}
+
+//===----------------------------------------------------------------------===//
+// Closure hashes derived by a full run are stable across versions
+//===----------------------------------------------------------------------===//
+
+TEST(MixyPersistTest, ManifestClosureHashesAreStable) {
+  // Calls, an extern callee, recursion, and one alias class that couples
+  // set_a and set_b. Persisted block keys embed the closure hashes, so
+  // these values (the ones existing caches were written with) must not
+  // move, or every existing cache turns into misses.
+  const std::string Source = R"(
+int *g_shared;
+void sysutil_free(void *p);
+int fact(int n) {
+  if (n <= 1) {
+    return 1;
+  }
+  return n + fact(n - 1);
+}
+void set_a(void) {
+  int a;
+  g_shared = &a;
+}
+void set_b(void) {
+  int b;
+  g_shared = &b;
+}
+int leaf(int x) {
+  sysutil_free((void*)g_shared);
+  return x + 1;
+}
+int mid(int x) MIX(symbolic) {
+  if (x != 0) {
+    return leaf(x);
+  }
+  return fact(x);
+}
+int main(void) {
+  set_a();
+  set_b();
+  return mid(3);
+}
+)";
+  TempDir D("golden");
+  runMixy(Source, D.Path);
+  std::unique_ptr<persist::PersistSession> Saved = reopen(D.Path);
+  std::map<std::string, uint64_t> Closure;
+  for (const auto &[Name, F] : Saved->previousManifest().Funcs)
+    Closure[Name] = F.ClosureHash;
+  const std::map<std::string, uint64_t> Expected = {
+      {"fact", 0x85c98e0568339aa5ull},
+      {"leaf", 0xcae58a3acd60d850ull},
+      {"main", 0x18e8ebcd8c32fa1bull},
+      {"mid", 0x5930ac3706c8ac29ull},
+      {"set_a", 0x9da1b9bceb7908b0ull},
+      {"set_b", 0x9da1b9bceb7908b0ull},
+  };
+  EXPECT_EQ(Closure, Expected);
 }
 
 //===----------------------------------------------------------------------===//

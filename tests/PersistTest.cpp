@@ -5,18 +5,26 @@
 //
 // Covers src/persist/: the checksummed record-file container (round-trip
 // plus every corruption mode in the failure contract), the three stores,
-// and PersistSession's cold/warm/degraded lifecycle including concurrent
-// writers sharing a cache directory.
+// PersistSession's cold/warm/degraded lifecycle including concurrent
+// writers sharing a cache directory, and the dependency-closure hashes
+// that persistent block keys embed (against a brute-force oracle and
+// pinned golden values).
 //
 //===----------------------------------------------------------------------===//
 
+#include "cfront/CParser.h"
+#include "persist/AstHash.h"
 #include "persist/PersistSession.h"
 #include "persist/RecordFile.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -260,6 +268,33 @@ TEST(BlockSummaryStoreTest, OpaquePayloadRoundTrip) {
   EXPECT_TRUE(B2.lookup(9).has_value());
 }
 
+TEST(BlockSummaryStoreTest, OnlyUsedEntriesAreSaved) {
+  BlockSummaryStore Loaded(nullptr);
+  {
+    BlockSummaryStore B(nullptr);
+    B.store(1, "hit later");
+    B.store(2, "never used again");
+    B.store(3, "overwritten");
+    ASSERT_TRUE(Loaded.decode(B.encode()));
+  }
+  // Freshly loaded entries are unmarked: nothing would be written back.
+  EXPECT_EQ(Loaded.size(), 3u);
+  EXPECT_TRUE(Loaded.encode().empty());
+  // A miss marks nothing; a hit and a store each mark their key.
+  EXPECT_FALSE(Loaded.lookup(4).has_value());
+  EXPECT_TRUE(Loaded.lookup(1).has_value());
+  Loaded.store(3, "fresh");
+  Loaded.store(5, "new");
+
+  BlockSummaryStore Saved(nullptr);
+  ASSERT_TRUE(Saved.decode(Loaded.encode()));
+  EXPECT_EQ(Saved.size(), 3u);
+  EXPECT_EQ(Saved.lookup(1), std::optional<std::string>("hit later"));
+  EXPECT_FALSE(Saved.lookup(2).has_value());
+  EXPECT_EQ(Saved.lookup(3), std::optional<std::string>("fresh"));
+  EXPECT_EQ(Saved.lookup(5), std::optional<std::string>("new"));
+}
+
 TEST(ManifestTest, RoundTrip) {
   Manifest M;
   M.Funcs["f"] = {11, 21};
@@ -497,6 +532,204 @@ TEST(PersistSessionTest, MetricsCounters) {
   EXPECT_EQ(Reg.counterValue("persist.block.misses"), 1u);
   EXPECT_EQ(Reg.counterValue("persist.block.hits"), 1u);
   EXPECT_EQ(Reg.counterValue("persist.block.stores"), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Dependency-closure hashes
+//===----------------------------------------------------------------------===//
+
+using FuncMap = std::map<const c::CFuncDecl *, uint64_t>;
+using DepMap =
+    std::map<const c::CFuncDecl *, std::vector<const c::CFuncDecl *>>;
+
+/// The oracle: an independent breadth-first search from every function,
+/// collecting the content hashes of everything reachable (reflexively)
+/// and digesting them sorted. Shares nothing with closureHashes but the
+/// digest layout.
+FuncMap bfsClosureHashes(const FuncMap &Content, const DepMap &Deps,
+                         uint64_t EnvHash) {
+  FuncMap Out;
+  for (const auto &[F, Hash] : Content) {
+    (void)Hash;
+    std::vector<const c::CFuncDecl *> Work{F};
+    std::map<const c::CFuncDecl *, bool> Seen{{F, true}};
+    std::vector<uint64_t> Cone;
+    while (!Work.empty()) {
+      const c::CFuncDecl *Cur = Work.back();
+      Work.pop_back();
+      auto It = Content.find(Cur);
+      if (It != Content.end())
+        Cone.push_back(It->second);
+      auto DepIt = Deps.find(Cur);
+      if (DepIt == Deps.end())
+        continue;
+      for (const c::CFuncDecl *Next : DepIt->second)
+        if (Seen.emplace(Next, true).second)
+          Work.push_back(Next);
+    }
+    std::sort(Cone.begin(), Cone.end());
+    StableHasher H;
+    H.u64(EnvHash);
+    H.u32((uint32_t)Cone.size());
+    for (uint64_t C : Cone)
+      H.u64(C);
+    Out[F] = H.digest();
+  }
+  return Out;
+}
+
+/// A parsed program of \p N trivial functions, whose declarations serve
+/// as graph nodes.
+struct NodePool {
+  explicit NodePool(unsigned N) {
+    std::string Source;
+    for (unsigned I = 0; I != N; ++I)
+      Source += "int f" + std::to_string(I) + "(void) { return 0; }\n";
+    const c::CProgram *P = c::parseC(Source, Ctx, Diags);
+    EXPECT_NE(P, nullptr) << Diags.str();
+    if (P)
+      Nodes.assign(P->Funcs.begin(), P->Funcs.end());
+  }
+  c::CAstContext Ctx;
+  DiagnosticEngine Diags;
+  std::vector<const c::CFuncDecl *> Nodes;
+};
+
+TEST(ClosureHashTest, EmptyGraph) {
+  EXPECT_TRUE(closureHashes({}, {}, 7).empty());
+  // Dependency edges without any content produce no hashes either.
+  NodePool Pool(2);
+  EXPECT_TRUE(
+      closureHashes({}, {{Pool.Nodes[0], {Pool.Nodes[1]}}}, 7).empty());
+}
+
+TEST(ClosureHashTest, MatchesBreadthFirstOracleOnRandomGraphs) {
+  NodePool Pool(40);
+  ASSERT_EQ(Pool.Nodes.size(), 40u);
+  for (unsigned Seed = 0; Seed != 600; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    std::mt19937 Rng(Seed);
+    auto Pick = [&](unsigned Bound) {
+      return std::uniform_int_distribution<unsigned>(0, Bound - 1)(Rng);
+    };
+    unsigned N = Seed == 0 ? 0 : 1 + Pick(40);
+    // Density from a tree-like sprinkle to nearly complete.
+    unsigned MaxOut = 1 + Pick(Seed % 5 == 0 ? N + 1 : 4);
+    // Small hash ranges force colliding content hashes (the digest is
+    // over a multiset: one entry per function, duplicates kept).
+    uint64_t HashRange = Seed % 3 == 0 ? 3 : ~0ull;
+    FuncMap Content;
+    DepMap Deps;
+    for (unsigned I = 0; I != N; ++I) {
+      const c::CFuncDecl *F = Pool.Nodes[I];
+      // Roughly one node in six is an extern target: no content.
+      if (Pick(6) != 0)
+        Content[F] = std::uniform_int_distribution<uint64_t>(
+            1, HashRange)(Rng);
+      // Some nodes have no Deps entry at all, some an empty one.
+      unsigned Shape = Pick(5);
+      if (Shape == 0)
+        continue;
+      std::vector<const c::CFuncDecl *> &Out = Deps[F];
+      if (Shape == 1)
+        continue;
+      unsigned Count = Pick(MaxOut + 1);
+      for (unsigned E = 0; E != Count; ++E) {
+        unsigned To = Pick(N);
+        Out.push_back(Pool.Nodes[To]);
+        if (Pick(4) == 0) // duplicate edge
+          Out.push_back(Pool.Nodes[To]);
+      }
+      if (Pick(8) == 0) // self-loop
+        Out.push_back(F);
+    }
+    uint64_t Env = Rng();
+    EXPECT_EQ(closureHashes(Content, Deps, Env),
+              bfsClosureHashes(Content, Deps, Env));
+  }
+}
+
+/// A fixed program with calls, an extern callee, recursion, and one
+/// alias class shared by two functions (set_a's a and set_b's b both
+/// flow into g_shared).
+const char *GoldenProgram = R"(
+int *g_shared;
+void sysutil_free(void *p);
+int fact(int n) {
+  if (n <= 1) {
+    return 1;
+  }
+  return n + fact(n - 1);
+}
+void set_a(void) {
+  int a;
+  g_shared = &a;
+}
+void set_b(void) {
+  int b;
+  g_shared = &b;
+}
+int leaf(int x) {
+  sysutil_free((void*)g_shared);
+  return x + 1;
+}
+int mid(int x) MIX(symbolic) {
+  if (x != 0) {
+    return leaf(x);
+  }
+  return fact(x);
+}
+int main(void) {
+  set_a();
+  set_b();
+  return mid(3);
+}
+)";
+
+TEST(ClosureHashTest, GoldenHashesAreStable) {
+  // Persisted block keys embed these hashes, so a change to how they are
+  // derived silently turns every existing cache into misses. The values
+  // are the ones existing caches were written with; the edges mirror
+  // what MIXY derives for the program (call graph plus the set_a/set_b
+  // alias class).
+  c::CAstContext Ctx;
+  DiagnosticEngine Diags;
+  const c::CProgram *P = c::parseC(GoldenProgram, Ctx, Diags);
+  ASSERT_NE(P, nullptr) << Diags.str();
+  std::map<std::string, const c::CFuncDecl *> ByName;
+  FuncMap Content;
+  for (const c::CFuncDecl *F : P->Funcs) {
+    ByName[F->name()] = F;
+    if (F->isDefined())
+      Content[F] = functionContentHash(*F);
+  }
+  auto Edges = [&](std::initializer_list<const char *> Names) {
+    std::vector<const c::CFuncDecl *> Out;
+    for (const char *Name : Names)
+      Out.push_back(ByName.at(Name));
+    return Out;
+  };
+  DepMap Deps;
+  Deps[ByName.at("fact")] = Edges({"fact"});
+  Deps[ByName.at("set_a")] = Edges({"set_b"});
+  Deps[ByName.at("set_b")] = Edges({"set_a"});
+  Deps[ByName.at("leaf")] = Edges({"sysutil_free"});
+  Deps[ByName.at("mid")] = Edges({"leaf", "fact"});
+  Deps[ByName.at("main")] = Edges({"set_a", "set_b", "mid"});
+
+  FuncMap Closure = closureHashes(Content, Deps, environmentHash(*P));
+  std::map<std::string, uint64_t> ByNameHash;
+  for (const auto &[F, Hash] : Closure)
+    ByNameHash[F->name()] = Hash;
+  const std::map<std::string, uint64_t> Expected = {
+      {"fact", 0x85c98e0568339aa5ull},
+      {"leaf", 0xcae58a3acd60d850ull},
+      {"main", 0x18e8ebcd8c32fa1bull},
+      {"mid", 0x5930ac3706c8ac29ull},
+      {"set_a", 0x9da1b9bceb7908b0ull},
+      {"set_b", 0x9da1b9bceb7908b0ull},
+  };
+  EXPECT_EQ(ByNameHash, Expected);
 }
 
 } // namespace

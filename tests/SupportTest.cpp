@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Diagnostics.h"
+#include "support/Scc.h"
 #include "support/StringExtras.h"
 
 #include <gtest/gtest.h>
@@ -80,4 +81,29 @@ TEST(StringExtrasTest, Trim) {
   EXPECT_EQ(trim("  x y \n"), "x y");
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim(" \t "), "");
+}
+
+TEST(SccTest, SinksFirstWithSortedMembers) {
+  // 0 -> {1, 2}, 1 <-> 3, 2 -> 2 (self-loop), 3 -> 4; node 5 isolated.
+  std::vector<std::vector<size_t>> Adj = {{1, 2}, {3}, {2}, {1, 4}, {}, {}};
+  std::vector<std::vector<size_t>> Sccs = tarjanSccs(Adj.size(), Adj);
+  std::vector<std::vector<size_t>> Expected = {{4}, {1, 3}, {2}, {0}, {5}};
+  EXPECT_EQ(Sccs, Expected);
+  EXPECT_TRUE(tarjanSccs(0, {}).empty());
+}
+
+TEST(SccTest, DeepGraphsDoNotRecurse) {
+  // A 200k-node path and the same path closed into one cycle.
+  size_t N = 200000;
+  std::vector<std::vector<size_t>> Adj(N);
+  for (size_t I = 0; I + 1 != N; ++I)
+    Adj[I].push_back(I + 1);
+  std::vector<std::vector<size_t>> Path = tarjanSccs(N, Adj);
+  ASSERT_EQ(Path.size(), N);
+  EXPECT_EQ(Path.front(), std::vector<size_t>{N - 1});
+  EXPECT_EQ(Path.back(), std::vector<size_t>{0});
+  Adj[N - 1].push_back(0);
+  std::vector<std::vector<size_t>> Cycle = tarjanSccs(N, Adj);
+  ASSERT_EQ(Cycle.size(), 1u);
+  EXPECT_EQ(Cycle[0].size(), N);
 }
