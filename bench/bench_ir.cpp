@@ -1,25 +1,19 @@
-//===--- bench_ir.cpp - AST walker vs. compiled concolic engine -----------===//
+//===--- bench_ir.cpp - Block-execution throughput of both executors ------===//
 //
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
 //
-// Measures the --exec=ir engine against the AST walker on two ProgramGen
-// corpora:
+// One axis per executor and workload shape:
 //
-//  - concrete_heavy: programs with no symbolic inputs at all. Every
-//    branch guard is concrete, so the compiled engine runs on native
-//    shadows — no arena traffic, no forks, every branch solver-skipped
-//    (exec.branches.concrete). This is the workload the subsystem exists
-//    for; the acceptance bar is >=5x symbolic-block throughput.
+//  - ConcreteHeavy / DeepBranch: the core-language executor (SymExecutor)
+//    on two ProgramGen corpora — no symbolic inputs at all (every guard
+//    concrete), and symbolic ints/bools that fork heavily.
 //
-//  - deep_branch: programs over symbolic ints/bools that fork heavily.
-//    Here both engines do the same arena and path work, so the compiled
-//    engine's edge shrinks to dispatch overhead; the corpus guards
-//    against the IR engine regressing the symbolic-heavy case.
-//
-// Each iteration runs the whole corpus through one long-lived engine, so
-// warm iterations exercise the lowering cache exactly like a KeepWarm
-// daemon session (ir.lower.hits counts them).
+//  - MiniCConcrete / MiniCBranchy: the mini-C IR engine (CIrExecutor
+//    under CSymExecutor's memory model) on a straight-line store-heavy
+//    body and a pointer/branch-heavy one. The engine lives as long as
+//    the benchmark, so warm iterations exercise the lowering cache
+//    exactly like a warm daemon session (ir.lower.hits counts them).
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +22,6 @@
 
 #include "cfront/CParser.h"
 #include "concolic/CIrExecutor.h"
-#include "concolic/IrExecutor.h"
 #include "csym/CSymExecutor.h"
 #include "observe/Metrics.h"
 #include "solver/SolverFactory.h"
@@ -94,15 +87,13 @@ Corpus &deepBranchCorpus() {
   return *C;
 }
 
-void runCorpus(benchmark::State &State, Corpus &C,
-               SymExecOptions::Engine Mode) {
+void runCorpus(benchmark::State &State, Corpus &C) {
   obs::MetricsRegistry Reg;
   SymExecOptions Opts;
-  Opts.ExecMode = Mode;
   Opts.Metrics = &Reg;
   SymArena Arena(C.Ctx.types());
   DiagnosticEngine Diags;
-  std::unique_ptr<ExecEngine> Exec = concolic::makeExecEngine(Arena, Diags, Opts);
+  SymExecutor Exec(Arena, Diags, Opts);
 
   SymEnv Env;
   if (C.Symbolic) {
@@ -114,7 +105,7 @@ void runCorpus(benchmark::State &State, Corpus &C,
   size_t Paths = 0;
   for (auto _ : State) {
     for (const Expr *E : C.Programs) {
-      SymExecResult R = Exec->run(E, Env);
+      SymExecResult R = Exec.run(E, Env);
       Paths += R.Paths.size();
       benchmark::DoNotOptimize(R.Paths.data());
     }
@@ -126,18 +117,15 @@ void runCorpus(benchmark::State &State, Corpus &C,
       (double)Reg.counterValue("exec.branches.concrete");
   State.counters["terms_built"] =
       (double)Reg.counterValue("exec.terms.built");
-  State.counters["terms_gcd"] = (double)Reg.counterValue("exec.terms.gcd");
-  State.counters["lower_hits"] = (double)Reg.counterValue("ir.lower.hits");
 }
 
 //===----------------------------------------------------------------------===//
-// Mini-C axis: the same engines under CSymExecutor's memory model
+// Mini-C axis: the IR engine under CSymExecutor's memory model
 //===----------------------------------------------------------------------===//
 
 /// Concrete-heavy mini-C: one path, no symbolic guards — long runs of
-/// stores through pointers, struct fields, and locals. Measures pure
-/// per-statement dispatch of the lowered bytecode against the recursive
-/// AST walk over identical solver/store traffic.
+/// stores through pointers, struct fields, and locals. Measures
+/// per-statement dispatch of the lowered bytecode.
 const char *MiniCConcreteSrc = R"(struct box { int a; int b; };
 int main(int argc) {
   int x = 1;
@@ -173,9 +161,8 @@ int main(int argc) {
 )";
 
 /// Pointer/branch-heavy mini-C: symbolic argument drives forks, a
-/// may-be-null pointer threads through a loop and an inlined call.
-/// Both engines do the same path and solver work, so this axis guards
-/// against the lowered interpreter regressing the fork-heavy case.
+/// may-be-null pointer threads through a loop and an inlined call, so
+/// path and solver work dominate.
 const char *MiniCBranchySrc = R"(int pick(int a, int *w) {
   if (a > 0) { return *w; }
   return 0;
@@ -196,8 +183,7 @@ int main(int argc) {
 }
 )";
 
-void runMiniCCorpus(benchmark::State &State, const char *Src,
-                    SymExecOptions::Engine Mode) {
+void runMiniCCorpus(benchmark::State &State, const char *Src) {
   obs::MetricsRegistry Reg;
   c::CAstContext Ctx;
   DiagnosticEngine Diags;
@@ -209,9 +195,7 @@ void runMiniCCorpus(benchmark::State &State, const char *Src,
       smt::createBackend("smtlite", Terms, SO);
   c::CSymExecutor Exec(*P, Ctx, Diags, Terms, *Solver);
   std::unique_ptr<c::CBodyEngine> Engine =
-      concolic::makeCBodyEngine(Exec, Mode, &Reg, nullptr);
-  if (Engine)
-    Exec.setBodyEngine(Engine.get());
+      concolic::makeCBodyEngine(Exec, &Reg, nullptr);
   const c::CFuncDecl *F = P->findFunc("main");
 
   size_t Paths = 0;
@@ -226,45 +210,26 @@ void runMiniCCorpus(benchmark::State &State, const char *Src,
   State.counters["solver_queries"] =
       (double)Reg.counterValue("solver.queries");
   State.counters["lower_hits"] = (double)Reg.counterValue("ir.lower.hits");
-  State.counters["fallbacks"] =
-      (double)Reg.counterValue("exec.fallback.ast");
 }
 
-void BM_MiniCConcrete_Ast(benchmark::State &State) {
-  runMiniCCorpus(State, MiniCConcreteSrc, SymExecOptions::Engine::Ast);
+void BM_MiniCConcrete(benchmark::State &State) {
+  runMiniCCorpus(State, MiniCConcreteSrc);
 }
-void BM_MiniCConcrete_Ir(benchmark::State &State) {
-  runMiniCCorpus(State, MiniCConcreteSrc, SymExecOptions::Engine::Ir);
+void BM_MiniCBranchy(benchmark::State &State) {
+  runMiniCCorpus(State, MiniCBranchySrc);
 }
-void BM_MiniCBranchy_Ast(benchmark::State &State) {
-  runMiniCCorpus(State, MiniCBranchySrc, SymExecOptions::Engine::Ast);
+void BM_ConcreteHeavy(benchmark::State &State) {
+  runCorpus(State, concreteHeavyCorpus());
 }
-void BM_MiniCBranchy_Ir(benchmark::State &State) {
-  runMiniCCorpus(State, MiniCBranchySrc, SymExecOptions::Engine::Ir);
-}
-
-void BM_ConcreteHeavy_Ast(benchmark::State &State) {
-  runCorpus(State, concreteHeavyCorpus(), SymExecOptions::Engine::Ast);
-}
-void BM_ConcreteHeavy_Ir(benchmark::State &State) {
-  runCorpus(State, concreteHeavyCorpus(), SymExecOptions::Engine::Ir);
-}
-void BM_DeepBranch_Ast(benchmark::State &State) {
-  runCorpus(State, deepBranchCorpus(), SymExecOptions::Engine::Ast);
-}
-void BM_DeepBranch_Ir(benchmark::State &State) {
-  runCorpus(State, deepBranchCorpus(), SymExecOptions::Engine::Ir);
+void BM_DeepBranch(benchmark::State &State) {
+  runCorpus(State, deepBranchCorpus());
 }
 
 } // namespace
 
-BENCHMARK(BM_ConcreteHeavy_Ast)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ConcreteHeavy_Ir)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_DeepBranch_Ast)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_DeepBranch_Ir)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_MiniCConcrete_Ast)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_MiniCConcrete_Ir)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_MiniCBranchy_Ast)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_MiniCBranchy_Ir)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ConcreteHeavy)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DeepBranch)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MiniCConcrete)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MiniCBranchy)->Unit(benchmark::kMicrosecond);
 
 MIX_BENCH_MAIN(ir)

@@ -5,22 +5,21 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Every opcode here is a transcription of the matching CSymExecutor AST
-// case (resolveLValue / evalExpr / evalCall / execStmt / execWhile). The
-// porting rule is byte-identity: the same warnings in the same order,
-// the same fresh terms and objects in the same order, the same trail
-// entries and budget trips. Where the walker's helper returns a
-// completed flow vector before its caller continues, the bytecode's
-// span barriers reproduce the synchronization (see ConcolicCore.h);
-// where the walker drops a flow (dead path), the interpreter returns
-// zero outcomes.
+// One case per opcode. The order of warnings, fresh terms, objects,
+// trail entries and budget trips is part of the observable output and
+// is pinned by the CLI goldens and tests/CIrDiffTest.cpp. A dead path
+// returns zero outcomes.
+//
+// Continuation barriers: when an instruction yields several outcomes,
+// every span enclosing it contributes a barrier at its end — the
+// innermost enclosing node's remaining instructions run for all
+// outcomes (in order) before the next level out.
 //
 //===----------------------------------------------------------------------===//
 
 #include "concolic/CIrExecutor.h"
 
-#include "concolic/ConcolicCore.h"
-
+#include <algorithm>
 #include <cassert>
 
 using namespace mix;
@@ -32,6 +31,47 @@ using mix::c::PtrCase;
 using mix::c::PtrTarget;
 using mix::smt::Term;
 
+namespace {
+
+/// Resumes execution after the multi-outcome instruction at index \p I,
+/// running the outcomes \p Outs barrier-by-barrier to \p End. \p Spans
+/// are the enclosing region's node spans (plus any synthetic prefix
+/// spans); \p Run executes one outcome over a half-open instruction
+/// range: `Run(Outcome, From, To) -> std::vector<Outcome>`.
+///
+/// The caller handles the single-outcome fast path (resume directly, no
+/// barrier is observable) before calling this.
+template <class Outcome, class RunSeg>
+std::vector<Outcome>
+continueWithBarriers(const std::vector<std::pair<uint32_t, uint32_t>> &Spans,
+                     size_t I, size_t End, std::vector<Outcome> Outs,
+                     RunSeg Run) {
+  std::vector<size_t> Barriers;
+  for (const auto &[Start, SpanEnd] : Spans)
+    if (Start <= I && I < SpanEnd && SpanEnd > I + 1 && SpanEnd < End)
+      Barriers.push_back(SpanEnd);
+  std::sort(Barriers.begin(), Barriers.end());
+  Barriers.erase(std::unique(Barriers.begin(), Barriers.end()),
+                 Barriers.end());
+  Barriers.push_back(End);
+
+  std::vector<Outcome> Cur = std::move(Outs);
+  size_t Pos = I + 1;
+  for (size_t Barrier : Barriers) {
+    std::vector<Outcome> Next;
+    for (Outcome &O : Cur) {
+      std::vector<Outcome> Rest = Run(std::move(O), Pos, Barrier);
+      for (Outcome &Nx : Rest)
+        Next.push_back(std::move(Nx));
+    }
+    Cur = std::move(Next);
+    Pos = Barrier;
+  }
+  return Cur;
+}
+
+} // namespace
+
 CIrExecutor::CIrExecutor(c::CSymExecutor &Exec, obs::MetricsRegistry *Metrics,
                          obs::RequestTelemetry *Telemetry)
     : Exec(Exec), Telemetry(Telemetry) {
@@ -39,53 +79,43 @@ CIrExecutor::CIrExecutor(c::CSymExecutor &Exec, obs::MetricsRegistry *Metrics,
     CExecPaths = Metrics->counter("exec.paths");
     CLowerHits = Metrics->counter("ir.lower.hits");
     CLowerMisses = Metrics->counter("ir.lower.misses");
-    CFallbackAst = Metrics->counter("exec.fallback.ast");
   }
 }
 
-const ir::CIrFunction *CIrExecutor::lowered(const c::CFuncDecl *Fn) {
+const ir::CIrFunction &CIrExecutor::lowered(const c::CFuncDecl *Fn) {
   auto It = LoweredCache.find(Fn);
   if (It != LoweredCache.end()) {
-    if (It->second)
-      CLowerHits.inc();
-    return It->second.get();
+    CLowerHits.inc();
+    return *It->second;
   }
   obs::PhaseTimer Timer(Telemetry, obs::Phase::IrLower);
   CLowerMisses.inc();
   std::unique_ptr<ir::CIrFunction> F = ir::lowerC(Fn, Exec.program());
-  if (F)
-    assert(ir::verifyC(*F).empty() &&
-           "lowering produced ill-formed bytecode");
-  const ir::CIrFunction *Ptr = F.get();
-  LoweredCache.emplace(Fn, std::move(F));
-  return Ptr;
+  assert(F && ir::verifyC(*F).empty() &&
+         "lowering produced ill-formed bytecode");
+  return *LoweredCache.emplace(Fn, std::move(F)).first->second;
 }
 
-bool CIrExecutor::runBody(const c::CFuncDecl *Fn, CSymState &State,
-                          unsigned Depth, std::vector<CSymState> &Out) {
-  const ir::CIrFunction *F = lowered(Fn);
-  if (!F) {
-    // Residual construct: fall back to the AST walker, loudly.
-    CFallbackAst.inc();
-    return false;
-  }
+std::vector<CSymState> CIrExecutor::runBody(const c::CFuncDecl *Fn,
+                                            CSymState State,
+                                            unsigned Depth) {
+  const ir::CIrFunction &F = lowered(Fn);
 
   unsigned SavedDepth = CurDepth;
-  const c::CFuncDecl *SavedFunc = CurFunc;
   CurDepth = Depth;
-  CurFunc = Fn;
 
   std::vector<Outcome> Res =
-      runSegment(*F, 0, std::vector<RegVal>(F->NumRegs), std::move(State),
-                 0, F->Regions[0].Code.size());
+      runSegment(F, 0, std::vector<RegVal>(F.NumRegs), std::move(State), 0,
+                 F.Regions[0].Code.size());
 
   CurDepth = SavedDepth;
-  CurFunc = SavedFunc;
 
   CExecPaths.add(Res.size());
+  std::vector<CSymState> Out;
+  Out.reserve(Res.size());
   for (Outcome &O : Res)
     Out.push_back(std::move(O.S));
-  return true;
+  return Out;
 }
 
 std::vector<CIrExecutor::Outcome>
@@ -125,8 +155,8 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
     const ir::CInstr &In = F.Regions[R].Code[I];
     switch (In.Op) {
     case ir::COpcode::CStmtEntry: {
-      // execStmt's entry checks: returned states pass through, path
-      // budget trips mark the run incomplete; both skip the statement.
+      // Statement entry: returned states pass through, path budget
+      // trips mark the run incomplete; both skip the statement.
       if (S.Returned) {
         assert((size_t)In.Imm <= End && "skip target crosses a barrier");
         I = (size_t)In.Imm - 1;
@@ -169,7 +199,7 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
         Loc = Exec.globalLoc(Name);
       if (Loc == c::NoLoc) {
         Exec.warn(In.Loc, "unknown variable '" + Name + "'");
-        return {}; // the walker drops this flow: the path dies
+        return {}; // the path dies
       }
       Regs[In.Dst] = val(Exec.readCell(S, Loc, ""));
       break;
@@ -235,10 +265,13 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
       Regs[In.Dst] = cells(std::move(Cs));
       break;
     }
+    case ir::COpcode::CNotLValue:
+      Exec.warn(In.Loc, "expression is not an lvalue");
+      return {};
     case ir::COpcode::CReadMerged: {
       const std::vector<c::CSymExecutor::LVal> &Cs = Regs[In.A].Cells;
       if (Cs.empty())
-        return {}; // the walker skips empty-cell resolutions
+        return {}; // an lvalue with no cells reads nothing
       CSymValue Acc = Exec.readCell(S, Cs[0].Loc, Cs[0].Field);
       for (size_t K = 1; K != Cs.size(); ++K) {
         CSymValue Next = Exec.readCell(S, Cs[K].Loc, Cs[K].Field);
@@ -345,7 +378,7 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
     }
     case ir::COpcode::CCall:
       return continueSegment(F, R, I, In.Dst,
-                             execCall(F, R, I, Regs, std::move(S), End),
+                             execCall(F, R, I, Regs, std::move(S)),
                              End);
     case ir::COpcode::CBranch:
       return execBranch(F, R, I, std::move(Regs), std::move(S), End);
@@ -372,9 +405,7 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
 
 std::vector<CIrExecutor::Outcome>
 CIrExecutor::execCall(const ir::CIrFunction &F, uint32_t R, size_t I,
-                      const std::vector<RegVal> &Regs, CSymState S,
-                      size_t End) {
-  (void)End;
+                      const std::vector<RegVal> &Regs, CSymState S) {
   const ir::CInstr &In = F.Regions[R].Code[I];
 
   std::vector<CSymValue> Args;
@@ -382,13 +413,9 @@ CIrExecutor::execCall(const ir::CIrFunction &F, uint32_t R, size_t I,
   for (uint32_t K = 0; K < In.ArgsCount; ++K)
     Args.push_back(Regs[F.ArgRegs[In.ArgsBegin + K]].V);
 
-  c::CSymExecutor::Frame Frame;
-  Frame.Func = CurFunc;
-  Frame.Depth = CurDepth;
-
   std::vector<c::CSymExecutor::Flow> Flows;
   if (In.Callee) {
-    Exec.dispatchCall(In.CallNode, In.Callee, Args, std::move(S), Frame,
+    Exec.dispatchCall(In.CallNode, In.Callee, Args, std::move(S), CurDepth,
                       Flows);
   } else {
     // Indirect call: fork per feasible callee-pointer target.
@@ -407,7 +434,7 @@ CIrExecutor::execCall(const ir::CIrFunction &F, uint32_t R, size_t I,
       case PtrTarget::Kind::Function:
         AnyTarget = true;
         Exec.dispatchCall(In.CallNode, C.Target.Fn, Args, std::move(Branch),
-                          Frame, Flows);
+                          CurDepth, Flows);
         break;
       case PtrTarget::Kind::UnknownFn: {
         AnyTarget = true;
@@ -493,7 +520,7 @@ CIrExecutor::execLoop(const ir::CIrFunction &F, uint32_t R, size_t I,
   const ir::CInstr &In = F.Regions[R].Code[I];
   const ir::CRegion &CondR = F.Regions[In.R1];
 
-  // Bounded unrolling, exactly as execWhile: each round forks on the
+  // Bounded unrolling: each round forks on the
   // condition; paths still looping after the bound are kept (without the
   // exit constraint) and the run is flagged incomplete.
   std::vector<Outcome> Active;
@@ -548,10 +575,10 @@ CIrExecutor::execLoop(const ir::CIrFunction &F, uint32_t R, size_t I,
 }
 
 std::unique_ptr<c::CBodyEngine>
-concolic::makeCBodyEngine(c::CSymExecutor &Exec, SymExecOptions::Engine Mode,
+concolic::makeCBodyEngine(c::CSymExecutor &Exec,
                           obs::MetricsRegistry *Metrics,
                           obs::RequestTelemetry *Telemetry) {
-  if (Mode == SymExecOptions::Engine::Ast)
-    return nullptr;
-  return std::make_unique<CIrExecutor>(Exec, Metrics, Telemetry);
+  auto Engine = std::make_unique<CIrExecutor>(Exec, Metrics, Telemetry);
+  Exec.setBodyEngine(Engine.get());
+  return Engine;
 }

@@ -6,25 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The mini-C side of the unified concolic core (--exec=ir for mixyc):
-/// an interpreter over the ir::CIrFunction bytecode that plugs into
-/// CSymExecutor through the CBodyEngine seam. The split of labor is the
-/// memory-model adapter pattern: this engine owns instruction dispatch
-/// and continuation order (via the shared barrier machinery of
-/// ConcolicCore.h), while CSymExecutor remains the state layer — lazy
-/// memory, pointer case analysis, feasibility checks, warning dedup and
-/// witness provenance — driven exclusively through its public adapter
-/// API. Every opcode is a verbatim transcription of the matching AST
-/// case, so diagnostics, fresh-term numbering, object allocation order,
-/// trails, and budget trips are byte-identical to the walker; the
-/// differential harness (tests/IrDiffTest.cpp) enforces this.
-///
-/// Bodies the lowering cannot model fall back to the AST walker loudly:
-/// runBody declines (before any side effect) and counts
-/// exec.fallback.ast. The fallback is per body — a lowerable caller
-/// still executes an unlowerable callee through the walker and vice
-/// versa, because both runFunction and inlineCall route through the
-/// same CBodyEngine seam.
+/// The mini-C body executor: an interpreter over the ir::CIrFunction
+/// bytecode that plugs into CSymExecutor through the CBodyEngine seam.
+/// The split of labor is the memory-model adapter pattern: this engine
+/// owns instruction dispatch and continuation order (via the
+/// continuation barriers of CRegion::Spans), while CSymExecutor remains the state
+/// layer — lazy memory, pointer case analysis, feasibility checks,
+/// warning dedup and witness provenance — driven exclusively through its
+/// public adapter API. Every body runs here: the entry function's and
+/// each inlined callee's (inlineCall re-enters through the seam).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +25,6 @@
 #include "ir/CIr.h"
 #include "observe/Metrics.h"
 #include "observe/Phase.h"
-#include "symexec/SymExecutor.h"
 
 #include <map>
 #include <memory>
@@ -49,15 +38,15 @@ public:
   CIrExecutor(c::CSymExecutor &Exec, obs::MetricsRegistry *Metrics,
               obs::RequestTelemetry *Telemetry);
 
-  bool runBody(const c::CFuncDecl *F, c::CSymState &State, unsigned Depth,
-               std::vector<c::CSymState> &Out) override;
+  std::vector<c::CSymState> runBody(const c::CFuncDecl *F,
+                                    c::CSymState State,
+                                    unsigned Depth) override;
 
 private:
   /// A register value: the CSymValue an expression produced, or the
-  /// guarded cell list an lvalue resolved to. (No concrete shadows here:
+  /// guarded cell list an lvalue resolved to. (No concrete shadows:
   /// mini-C execution cost is dominated by solver terms and store
-  /// copies, and byte-identity requires the walker's exact term
-  /// traffic.)
+  /// copies.)
   struct RegVal {
     enum class K : uint8_t { Invalid, Val, Cells };
     K Kind = K::Invalid;
@@ -66,15 +55,12 @@ private:
   };
 
   /// One path outcome of running (part of) a region: a final state plus
-  /// the register file the enclosing region resumes with. IsError is
-  /// never set for mini-C (the walker has no error outcomes — dead
-  /// paths simply produce no flows); it exists for the shared barrier
-  /// machinery.
+  /// the register file the enclosing region resumes with. There are no
+  /// error outcomes: a dead path simply produces no outcome.
   struct Outcome {
     c::CSymState S;
     std::vector<RegVal> Regs;
     RegVal Value;
-    bool IsError = false;
   };
 
   static RegVal val(c::CSymValue V) {
@@ -96,7 +82,7 @@ private:
                                   std::vector<RegVal> Regs, c::CSymState S,
                                   size_t From, size_t End);
   /// Resumes region \p R after multi-outcome instruction \p I, honoring
-  /// the continuation barriers of CRegion::Spans (ConcolicCore.h).
+  /// the continuation barriers of CRegion::Spans.
   std::vector<Outcome> continueSegment(const ir::CIrFunction &F, uint32_t R,
                                        size_t I, uint32_t Dst,
                                        std::vector<Outcome> Outs, size_t End);
@@ -107,7 +93,7 @@ private:
 
   std::vector<Outcome> execCall(const ir::CIrFunction &F, uint32_t R,
                                 size_t I, const std::vector<RegVal> &Regs,
-                                c::CSymState S, size_t End);
+                                c::CSymState S);
   std::vector<Outcome> execBranch(const ir::CIrFunction &F, uint32_t R,
                                   size_t I, std::vector<RegVal> Regs,
                                   c::CSymState S, size_t End);
@@ -115,9 +101,8 @@ private:
                                 size_t I, std::vector<RegVal> Regs,
                                 c::CSymState S, size_t End);
 
-  /// One-time lowering per function; null entries cache unlowerable
-  /// bodies so the fallback decision is a map lookup on re-entry.
-  const ir::CIrFunction *lowered(const c::CFuncDecl *Fn);
+  /// One-time lowering per function.
+  const ir::CIrFunction &lowered(const c::CFuncDecl *Fn);
 
   c::CSymExecutor &Exec;
   obs::RequestTelemetry *Telemetry = nullptr;
@@ -126,23 +111,18 @@ private:
   /// restored around nested runBody entries (an inlined call re-enters
   /// the engine through CSymExecutor::inlineCall).
   unsigned CurDepth = 0;
-  const c::CFuncDecl *CurFunc = nullptr;
 
   std::map<const c::CFuncDecl *, std::unique_ptr<ir::CIrFunction>>
       LoweredCache;
 
   obs::Counter CExecPaths;
   obs::Counter CLowerHits, CLowerMisses;
-  obs::Counter CFallbackAst;
 };
 
-/// Builds the mini-C body engine selected by \p Mode (the `--exec=`
-/// knob shared with the core-language engines): null for the AST
-/// walker — CSymExecutor runs standalone — or a CIrExecutor wired to
-/// \p Exec for the IR interpreter.
+/// Builds the body engine for \p Exec and installs it there. The
+/// returned engine must outlive every run of \p Exec.
 std::unique_ptr<c::CBodyEngine>
-makeCBodyEngine(c::CSymExecutor &Exec, SymExecOptions::Engine Mode,
-                obs::MetricsRegistry *Metrics,
+makeCBodyEngine(c::CSymExecutor &Exec, obs::MetricsRegistry *Metrics,
                 obs::RequestTelemetry *Telemetry);
 
 } // namespace concolic

@@ -13,8 +13,7 @@ using mix::smt::Term;
 CSymExecutor::CSymExecutor(const CProgram &Program, CAstContext &Ctx,
                            DiagnosticEngine &Diags, smt::TermArena &Terms,
                            smt::ISolver &Solver, CSymOptions Opts)
-    : Program(Program), Ctx(Ctx), Sema(Program, Ctx, Diags), Diags(Diags),
-      Terms(Terms), Solver(Solver),
+    : Program(Program), Ctx(Ctx), Diags(Diags), Terms(Terms), Solver(Solver),
       PathChecker(Solver, Opts.IncrementalSolver, Solver.options().Metrics),
       Opts(Opts) {
   Objects.push_back({nullptr, "<none>"}); // slot 0 = NoLoc
@@ -97,19 +96,6 @@ void CSymExecutor::warn(SourceLoc Loc, const std::string &Message,
     Diags.attachProvenance(Idx, std::move(Payload));
     Opts.Prov->countWitness();
   }
-}
-
-CScope CSymExecutor::scopeOf(const CSymState &State,
-                             const Frame &Frame) const {
-  CScope Scope;
-  Scope.Func = Frame.Func;
-  Scope.Locals = State.LocalTypes;
-  return Scope;
-}
-
-const CType *CSymExecutor::typeOf(const CExpr *E, const CSymState &State,
-                                  const Frame &Frame) {
-  return Sema.typeOf(E, scopeOf(State, Frame));
 }
 
 CSymValue CSymExecutor::seededPointer(const CType *PtrTy, NullSeed Seed,
@@ -203,292 +189,6 @@ const Term *CSymExecutor::intTerm(const CSymValue &V) {
   return T;
 }
 
-// === lvalue resolution ======================================================
-
-std::vector<CSymExecutor::LResolved>
-CSymExecutor::resolveLValue(const CExpr *E, CSymState State,
-                            const Frame &Frame) {
-  switch (E->kind()) {
-  case CExprKind::Ident: {
-    const auto *Id = cast<CIdent>(E);
-    LocId Loc = NoLoc;
-    auto It = State.Locals.find(Id->name());
-    if (It != State.Locals.end())
-      Loc = It->second;
-    else if (Program.findGlobal(Id->name()))
-      Loc = globalLoc(Id->name());
-    if (Loc == NoLoc) {
-      warn(E->loc(), "unknown variable '" + Id->name() + "'");
-      return {};
-    }
-    return {{std::move(State), {{Terms.trueTerm(), Loc, ""}}}};
-  }
-  case CExprKind::Unary: {
-    const auto *U = cast<CUnary>(E);
-    if (U->op() != CUnaryOp::Deref)
-      break;
-    std::vector<LResolved> Out;
-    for (Flow &F : evalExpr(U->sub(), std::move(State), Frame)) {
-      if (!F.Value.isPtr()) {
-        warn(E->loc(), "dereference of a non-pointer value");
-        continue;
-      }
-      // Null-dereference check (the executor "reports an error if 0 is
-      // ever dereferenced").
-      if (Opts.CheckDereferences) {
-        ++Statistics.NullChecks;
-        const Term *NullG = F.Value.nullGuard(Terms);
-        if (feasibleWith(F.State, NullG))
-          warn(E->loc(), "possible null dereference", &F.State,
-               Terms.andTerm(F.State.Path, NullG));
-      }
-      // Continue under the assumption the dereference survived.
-      LResolved R;
-      R.State = std::move(F.State);
-      extendPath(R.State, F.Value.nonNullGuard(Terms));
-      if (!feasible(R.State))
-        continue; // definitely null: this path dies here
-      for (const PtrCase &C : F.Value.cases()) {
-        if (C.Target.K != PtrTarget::Kind::Object)
-          continue;
-        R.Cells.push_back({C.Guard, C.Target.Loc, C.Target.Field});
-      }
-      Out.push_back(std::move(R));
-    }
-    return Out;
-  }
-  case CExprKind::Member: {
-    const auto *M = cast<CMember>(E);
-    if (!M->isArrow()) {
-      // base.field: extend the base cells' field paths.
-      std::vector<LResolved> Out = resolveLValue(M->base(), std::move(State),
-                                                 Frame);
-      for (LResolved &R : Out)
-        for (LVal &Cell : R.Cells)
-          Cell.Field = Cell.Field.empty() ? M->field()
-                                          : Cell.Field + "." + M->field();
-      return Out;
-    }
-    // base->field: like *base, then select the field.
-    std::vector<LResolved> Out;
-    for (Flow &F : evalExpr(M->base(), std::move(State), Frame)) {
-      if (!F.Value.isPtr()) {
-        warn(E->loc(), "'->' on a non-pointer value");
-        continue;
-      }
-      if (Opts.CheckDereferences) {
-        ++Statistics.NullChecks;
-        const Term *NullG = F.Value.nullGuard(Terms);
-        if (feasibleWith(F.State, NullG))
-          warn(E->loc(), "possible null dereference", &F.State,
-               Terms.andTerm(F.State.Path, NullG));
-      }
-      LResolved R;
-      R.State = std::move(F.State);
-      extendPath(R.State, F.Value.nonNullGuard(Terms));
-      if (!feasible(R.State))
-        continue;
-      for (const PtrCase &C : F.Value.cases()) {
-        if (C.Target.K != PtrTarget::Kind::Object)
-          continue;
-        std::string Field = C.Target.Field.empty()
-                                ? M->field()
-                                : C.Target.Field + "." + M->field();
-        R.Cells.push_back({C.Guard, C.Target.Loc, Field});
-      }
-      Out.push_back(std::move(R));
-    }
-    return Out;
-  }
-  default:
-    break;
-  }
-  warn(E->loc(), "expression is not an lvalue");
-  return {};
-}
-
-// === expressions =============================================================
-
-std::vector<CSymExecutor::Flow>
-CSymExecutor::evalExpr(const CExpr *E, CSymState State, const Frame &Frame) {
-  switch (E->kind()) {
-  case CExprKind::IntLit:
-    return {{std::move(State),
-             CSymValue::scalar(
-                 Terms.intConst(cast<CIntLit>(E)->value()))}};
-  case CExprKind::SizeOf:
-    // A nonzero size constant; the exact value is immaterial here.
-    return {{std::move(State), CSymValue::scalar(Terms.intConst(8))}};
-  case CExprKind::StrLit: {
-    LocId Obj = newObject(Ctx.charType(), "<string>");
-    return {{std::move(State),
-             CSymValue::pointerTo(Terms, PtrTarget::object(Obj))}};
-  }
-  case CExprKind::NullLit:
-    return {{std::move(State), CSymValue::nullPointer(Terms)}};
-  case CExprKind::Ident: {
-    const auto *Id = cast<CIdent>(E);
-    if (!State.Locals.count(Id->name()) &&
-        !Program.findGlobal(Id->name()))
-      if (const CFuncDecl *F = Program.findFunc(Id->name()))
-        return {{std::move(State),
-                 CSymValue::pointerTo(Terms, PtrTarget::function(F))}};
-    std::vector<Flow> Out;
-    for (LResolved &R : resolveLValue(E, std::move(State), Frame)) {
-      if (R.Cells.empty())
-        continue;
-      CSymValue V = readCell(R.State, R.Cells[0].Loc, R.Cells[0].Field);
-      Out.push_back({std::move(R.State), std::move(V)});
-    }
-    return Out;
-  }
-  case CExprKind::Unary: {
-    const auto *U = cast<CUnary>(E);
-    switch (U->op()) {
-    case CUnaryOp::Deref: {
-      std::vector<Flow> Out;
-      for (Flow &F : evalExpr(U->sub(), std::move(State), Frame)) {
-        // Functions decay: *f is f for function-pointer values.
-        if (F.Value.isPtr()) {
-          bool IsFnPtr = false;
-          for (const PtrCase &C : F.Value.cases())
-            if (C.Target.K == PtrTarget::Kind::Function ||
-                C.Target.K == PtrTarget::Kind::UnknownFn)
-              IsFnPtr = true;
-          if (IsFnPtr) {
-            Out.push_back(std::move(F));
-            continue;
-          }
-        }
-        if (!F.Value.isPtr()) {
-          warn(E->loc(), "dereference of a non-pointer value");
-          continue;
-        }
-        // Reading through a data pointer: null check, then merge the
-        // possible cells' contents.
-        if (Opts.CheckDereferences) {
-          ++Statistics.NullChecks;
-          const Term *NullG = F.Value.nullGuard(Terms);
-          if (feasibleWith(F.State, NullG))
-            warn(E->loc(), "possible null dereference", &F.State,
-                 Terms.andTerm(F.State.Path, NullG));
-        }
-        CSymState S = std::move(F.State);
-        extendPath(S, F.Value.nonNullGuard(Terms));
-        if (!feasible(S))
-          continue;
-        CSymValue Acc;
-        bool First = true;
-        for (const PtrCase &C : F.Value.cases()) {
-          if (C.Target.K != PtrTarget::Kind::Object)
-            continue;
-          CSymValue Next = readCell(S, C.Target.Loc, C.Target.Field);
-          if (First) {
-            Acc = std::move(Next);
-            First = false;
-          } else if (Next.kind() == Acc.kind()) {
-            Acc = CSymValue::ite(Terms, C.Guard, Next, Acc);
-          }
-        }
-        if (First)
-          continue; // no object target: nothing to read
-        Out.push_back({std::move(S), std::move(Acc)});
-      }
-      return Out;
-    }
-    case CUnaryOp::AddrOf: {
-      std::vector<Flow> Out;
-      for (LResolved &R :
-           resolveLValue(U->sub(), std::move(State), Frame)) {
-        std::vector<PtrCase> Cases;
-        for (const LVal &Cell : R.Cells)
-          Cases.push_back(
-              {Cell.Guard, PtrTarget::object(Cell.Loc, Cell.Field)});
-        if (Cases.empty())
-          continue;
-        Out.push_back({std::move(R.State), CSymValue::pointer(Cases)});
-      }
-      return Out;
-    }
-    case CUnaryOp::Not: {
-      std::vector<Flow> Out;
-      for (Flow &F : evalExpr(U->sub(), std::move(State), Frame)) {
-        const Term *B = Terms.notTerm(truthTerm(F.Value));
-        Out.push_back({std::move(F.State), CSymValue::scalar(B)});
-      }
-      return Out;
-    }
-    case CUnaryOp::Neg: {
-      std::vector<Flow> Out;
-      for (Flow &F : evalExpr(U->sub(), std::move(State), Frame))
-        Out.push_back({std::move(F.State),
-                       CSymValue::scalar(Terms.neg(intTerm(F.Value)))});
-      return Out;
-    }
-    }
-    return {};
-  }
-  case CExprKind::Binary: {
-    const auto *B = cast<CBinary>(E);
-    std::vector<Flow> Out;
-    for (Flow &L : evalExpr(B->lhs(), std::move(State), Frame)) {
-      for (Flow &R : evalExpr(B->rhs(), L.State, Frame)) {
-        CSymValue V = evalBinaryValues(B->op(), L.Value, R.Value);
-        Out.push_back({std::move(R.State), std::move(V)});
-      }
-    }
-    return Out;
-  }
-  case CExprKind::Assign: {
-    const auto *A = cast<CAssign>(E);
-    std::vector<Flow> Out;
-    for (LResolved &R :
-         resolveLValue(A->target(), std::move(State), Frame)) {
-      for (Flow &V : evalExpr(A->value(), std::move(R.State), Frame)) {
-        writeCells(V.State, R.Cells, V.Value);
-        Out.push_back({std::move(V.State), V.Value});
-      }
-    }
-    return Out;
-  }
-  case CExprKind::Call:
-    return evalCall(cast<CCall>(E), std::move(State), Frame);
-  case CExprKind::Member: {
-    std::vector<Flow> Out;
-    for (LResolved &R : resolveLValue(E, std::move(State), Frame)) {
-      if (R.Cells.empty())
-        continue;
-      CSymValue Acc = readCell(R.State, R.Cells[0].Loc, R.Cells[0].Field);
-      for (size_t I = 1; I != R.Cells.size(); ++I) {
-        CSymValue Next =
-            readCell(R.State, R.Cells[I].Loc, R.Cells[I].Field);
-        if (Next.kind() == Acc.kind())
-          Acc = CSymValue::ite(Terms, R.Cells[I].Guard, Next, Acc);
-      }
-      Out.push_back({std::move(R.State), std::move(Acc)});
-    }
-    return Out;
-  }
-  case CExprKind::Cast: {
-    const auto *C = cast<CCast>(E);
-    // (T*)malloc(...): allocate an object of the cast's pointee type.
-    if (const auto *Call = dyn_cast<CCall>(C->sub()))
-      if (const auto *Id = dyn_cast<CIdent>(Call->callee()))
-        if (Id->name() == "malloc" && !Program.findFunc("malloc") &&
-            C->target()->isPointer()) {
-          const CType *Pointee = C->target()->pointee();
-          if (Pointee->isVoid())
-            Pointee = Ctx.intType();
-          LocId Obj = newObject(Pointee, "malloc@" + E->loc().str());
-          return {{std::move(State),
-                   CSymValue::pointerTo(Terms, PtrTarget::object(Obj))}};
-        }
-    return evalExpr(C->sub(), std::move(State), Frame);
-  }
-  }
-  return {};
-}
-
 CSymValue CSymExecutor::evalBinaryValues(CBinaryOp Op, const CSymValue &L,
                                          const CSymValue &R) {
   // Pointer comparisons.
@@ -564,89 +264,9 @@ const Term *CSymExecutor::pointerEqGuard(const CSymValue &L,
 
 // === calls ===================================================================
 
-std::vector<CSymExecutor::Flow>
-CSymExecutor::evalCall(const CCall *Call, CSymState State,
-                       const Frame &Frame) {
-  // Bare malloc (no cast): an int-typed object.
-  if (const auto *Id = dyn_cast<CIdent>(Call->callee()))
-    if (Id->name() == "malloc" && !Program.findFunc("malloc")) {
-      LocId Obj = newObject(Ctx.intType(), "malloc@" + Call->loc().str());
-      return {{std::move(State),
-               CSymValue::pointerTo(Terms, PtrTarget::object(Obj))}};
-    }
-
-  // Evaluate the arguments left to right, threading states.
-  std::vector<std::pair<CSymState, std::vector<CSymValue>>> ArgStates;
-  ArgStates.emplace_back(std::move(State), std::vector<CSymValue>());
-  for (const CExpr *Arg : Call->args()) {
-    std::vector<std::pair<CSymState, std::vector<CSymValue>>> Next;
-    for (auto &[S, Vals] : ArgStates)
-      for (Flow &F : evalExpr(Arg, std::move(S), Frame)) {
-        std::vector<CSymValue> Extended = Vals;
-        Extended.push_back(F.Value);
-        Next.emplace_back(std::move(F.State), std::move(Extended));
-      }
-    ArgStates = std::move(Next);
-  }
-
-  std::vector<Flow> Out;
-  const CFuncDecl *Direct = Sema.directCallee(Call);
-
-  for (auto &[S, Args] : ArgStates) {
-    if (Direct) {
-      dispatchCall(Call, Direct, Args, std::move(S), Frame, Out);
-      continue;
-    }
-    // Indirect call: evaluate the callee pointer and fork per target.
-    for (Flow &F : evalExpr(Call->callee(), std::move(S), Frame)) {
-      if (!F.Value.isPtr()) {
-        warn(Call->loc(), "call through a non-pointer value");
-        continue;
-      }
-      bool AnyTarget = false;
-      for (const PtrCase &C : F.Value.cases()) {
-        if (!feasibleWith(F.State, C.Guard))
-          continue;
-        CSymState Branch = F.State;
-        extendPath(Branch, C.Guard);
-        switch (C.Target.K) {
-        case PtrTarget::Kind::Function:
-          AnyTarget = true;
-          dispatchCall(Call, C.Target.Fn, Args, std::move(Branch), Frame,
-                       Out);
-          break;
-        case PtrTarget::Kind::UnknownFn: {
-          // Section 4.5, Case 4: "our symbolic executor does not support
-          // calling symbolic function pointers". Warn and model the call
-          // conservatively.
-          AnyTarget = true;
-          warn(Call->loc(),
-               "call through unknown function pointer cannot be "
-               "executed symbolically; consider MIX(typed)",
-               &Branch);
-          Flow Conservative = externCall(Call, nullptr, Args,
-                                         std::move(Branch));
-          Out.push_back(std::move(Conservative));
-          break;
-        }
-        case PtrTarget::Kind::Null:
-          warn(Call->loc(), "possible call through null function pointer",
-               &Branch);
-          break;
-        case PtrTarget::Kind::Object:
-          break;
-        }
-      }
-      if (!AnyTarget)
-        warn(Call->loc(), "indirect call has no callable target");
-    }
-  }
-  return Out;
-}
-
 void CSymExecutor::dispatchCall(const CCall *Call, const CFuncDecl *Callee,
                                 const std::vector<CSymValue> &Args,
-                                CSymState State, const Frame &Frame,
+                                CSymState State, unsigned Depth,
                                 std::vector<Flow> &Out) {
   // MIXY's frontier: MIX(typed) functions are modeled by the type system.
   if (Hook && Callee->mixAnnot() == MixAnnot::Typed) {
@@ -679,7 +299,7 @@ void CSymExecutor::dispatchCall(const CCall *Call, const CFuncDecl *Callee,
     }
   }
 
-  if (!Callee->isDefined() || Frame.Depth >= Opts.MaxCallDepth) {
+  if (!Callee->isDefined() || Depth >= Opts.MaxCallDepth) {
     if (Callee->isDefined())
       IncompleteThisRun = true; // depth budget truncated the inlining
     Out.push_back(externCall(Call, Callee, Args, std::move(State)));
@@ -687,8 +307,7 @@ void CSymExecutor::dispatchCall(const CCall *Call, const CFuncDecl *Callee,
   }
 
   ++Statistics.CallsInlined;
-  for (Flow &F : inlineCall(Callee, Args, std::move(State),
-                            Frame.Depth + 1))
+  for (Flow &F : inlineCall(Callee, Args, std::move(State), Depth + 1))
     Out.push_back(std::move(F));
 }
 
@@ -703,10 +322,6 @@ CSymExecutor::inlineCall(const CFuncDecl *F,
   State.Locals.clear();
   State.LocalTypes.clear();
 
-  Frame Callee;
-  Callee.Func = F;
-  Callee.Depth = Depth;
-
   for (size_t I = 0; I != F->params().size(); ++I) {
     const auto &P = F->params()[I];
     LocId Loc = newObject(P.Ty, F->name() + "::" + P.Name);
@@ -717,7 +332,7 @@ CSymExecutor::inlineCall(const CFuncDecl *F,
   }
 
   std::vector<Flow> Out;
-  for (CSymState &S : runBody(F, std::move(State), Callee)) {
+  for (CSymState &S : runBody(F, std::move(State), Depth)) {
     CSymValue Ret;
     if (S.Returned)
       Ret = std::move(S.RetValue);
@@ -749,170 +364,13 @@ CSymExecutor::Flow CSymExecutor::externCall(const CCall *Call,
   return {std::move(State), std::move(Ret)};
 }
 
-// === statements ==============================================================
+// === bodies ==================================================================
 
 std::vector<CSymState> CSymExecutor::runBody(const CFuncDecl *F,
                                              CSymState State,
-                                             const Frame &Frame) {
-  if (Engine) {
-    std::vector<CSymState> Out;
-    if (Engine->runBody(F, State, Frame.Depth, Out))
-      return Out;
-  }
-  return execStmt(F->body(), std::move(State), Frame);
-}
-
-std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
-                                              const Frame &Frame) {
-  if (State.Returned)
-    return {std::move(State)};
-  if (PathsThisRun > Opts.MaxPaths) {
-    IncompleteThisRun = true;
-    return {std::move(State)};
-  }
-
-  switch (S->kind()) {
-  case CStmtKind::Expr: {
-    std::vector<CSymState> Out;
-    for (Flow &F : evalExpr(cast<CExprStmt>(S)->expr(), std::move(State),
-                            Frame))
-      Out.push_back(std::move(F.State));
-    return Out;
-  }
-  case CStmtKind::Decl: {
-    const auto *D = cast<CDeclStmt>(S);
-    LocId Loc = newObject(D->type(), Frame.Func->name() + "::" + D->name());
-    State.Locals[D->name()] = Loc;
-    State.LocalTypes[D->name()] = D->type();
-    if (!D->init())
-      return {std::move(State)};
-    std::vector<CSymState> Out;
-    for (Flow &F : evalExpr(D->init(), std::move(State), Frame)) {
-      F.State.Store.set({Loc, ""}, F.Value);
-      Out.push_back(std::move(F.State));
-    }
-    return Out;
-  }
-  case CStmtKind::If: {
-    const auto *I = cast<CIfStmt>(S);
-    std::vector<CSymState> Out;
-    for (Flow &F : evalExpr(I->cond(), std::move(State), Frame)) {
-      const Term *Cond = truthTerm(F.Value);
-
-      if (feasibleWith(F.State, Cond)) {
-        ++PathsThisRun;
-        ++Statistics.PathsExplored;
-        CSymState Then = F.State;
-        extendPath(Then, Cond);
-        if (Opts.Prov)
-          Then.Trail.push_back({I->cond()->loc(), "condition true"});
-        for (CSymState &R : execStmt(I->thenStmt(), std::move(Then), Frame))
-          Out.push_back(std::move(R));
-      } else {
-        ++Statistics.ForksPruned;
-      }
-
-      const Term *NotCond = Terms.notTerm(Cond);
-      if (feasibleWith(F.State, NotCond)) {
-        ++PathsThisRun;
-        ++Statistics.PathsExplored;
-        CSymState Else = std::move(F.State);
-        extendPath(Else, NotCond);
-        if (Opts.Prov)
-          Else.Trail.push_back({I->cond()->loc(), "condition false"});
-        if (I->elseStmt()) {
-          for (CSymState &R :
-               execStmt(I->elseStmt(), std::move(Else), Frame))
-            Out.push_back(std::move(R));
-        } else {
-          Out.push_back(std::move(Else));
-        }
-      } else {
-        ++Statistics.ForksPruned;
-      }
-    }
-    return Out;
-  }
-  case CStmtKind::While:
-    return execWhile(cast<CWhileStmt>(S), std::move(State), Frame);
-  case CStmtKind::Return: {
-    const auto *R = cast<CReturnStmt>(S);
-    if (!R->value()) {
-      State.Returned = true;
-      State.RetValue = CSymValue::scalar(Terms.intConst(0));
-      return {std::move(State)};
-    }
-    std::vector<CSymState> Out;
-    for (Flow &F : evalExpr(R->value(), std::move(State), Frame)) {
-      F.State.Returned = true;
-      F.State.RetValue = std::move(F.Value);
-      Out.push_back(std::move(F.State));
-    }
-    return Out;
-  }
-  case CStmtKind::Block: {
-    std::vector<CSymState> Active;
-    Active.push_back(std::move(State));
-    for (const CStmt *Sub : cast<CBlockStmt>(S)->stmts()) {
-      std::vector<CSymState> Next;
-      for (CSymState &A : Active)
-        for (CSymState &R : execStmt(Sub, std::move(A), Frame))
-          Next.push_back(std::move(R));
-      Active = std::move(Next);
-    }
-    return Active;
-  }
-  }
-  return {std::move(State)};
-}
-
-std::vector<CSymState> CSymExecutor::execWhile(const CWhileStmt *W,
-                                               CSymState State,
-                                               const Frame &Frame) {
-  // Bounded unrolling: each round forks on the condition; paths that are
-  // still looping after the bound are kept (without the exit constraint)
-  // and the run is flagged incomplete.
-  std::vector<CSymState> Active;
-  Active.push_back(std::move(State));
-  std::vector<CSymState> Exited;
-
-  for (unsigned Round = 0; Round != Opts.LoopBound && !Active.empty();
-       ++Round) {
-    std::vector<CSymState> NextActive;
-    for (CSymState &A : Active) {
-      if (A.Returned) {
-        Exited.push_back(std::move(A));
-        continue;
-      }
-      for (Flow &F : evalExpr(W->cond(), std::move(A), Frame)) {
-        const Term *Cond = truthTerm(F.Value);
-        const Term *NotCond = Terms.notTerm(Cond);
-        if (feasibleWith(F.State, NotCond)) {
-          CSymState Exit = F.State;
-          extendPath(Exit, NotCond);
-          if (Opts.Prov)
-            Exit.Trail.push_back({W->cond()->loc(), "loop exit"});
-          Exited.push_back(std::move(Exit));
-        }
-        if (feasibleWith(F.State, Cond)) {
-          CSymState Loop = std::move(F.State);
-          extendPath(Loop, Cond);
-          if (Opts.Prov)
-            Loop.Trail.push_back({W->cond()->loc(), "loop iteration"});
-          for (CSymState &R : execStmt(W->body(), std::move(Loop), Frame))
-            NextActive.push_back(std::move(R));
-        }
-      }
-    }
-    Active = std::move(NextActive);
-  }
-
-  if (!Active.empty()) {
-    IncompleteThisRun = true;
-    for (CSymState &A : Active)
-      Exited.push_back(std::move(A));
-  }
-  return Exited;
+                                             unsigned Depth) {
+  assert(Engine && "no body engine installed (concolic::makeCBodyEngine)");
+  return Engine->runBody(F, std::move(State), Depth);
 }
 
 // === entry point =============================================================
@@ -938,10 +396,6 @@ CSymExecutor::runFunction(const CFuncDecl *F,
     State.Store.set({globalLoc(Name), ""},
                     seededPointer(G->type(), Seed, Name));
   }
-
-  Frame Top;
-  Top.Func = F;
-  Top.Depth = 0;
 
   for (size_t I = 0; I != F->params().size(); ++I) {
     const auto &P = F->params()[I];
@@ -976,7 +430,7 @@ CSymExecutor::runFunction(const CFuncDecl *F,
     }
   }
 
-  for (CSymState &S : runBody(F, std::move(State), Top)) {
+  for (CSymState &S : runBody(F, std::move(State), 0)) {
     CSymResult::PathOut P;
     P.Path = S.Path;
     P.Returned = S.Returned;

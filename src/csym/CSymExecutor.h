@@ -29,7 +29,6 @@
 #ifndef MIX_CSYM_CSYMEXECUTOR_H
 #define MIX_CSYM_CSYMEXECUTOR_H
 
-#include "cfront/CSema.h"
 #include "csym/CSymValue.h"
 #include "provenance/Provenance.h"
 #include "solver/PathSolver.h"
@@ -82,24 +81,20 @@ public:
                                  CSymValue &RetOut) = 0;
 };
 
-/// A pluggable engine for function-body execution. The unified concolic
-/// core (src/concolic/CIrExecutor) implements this over lowered bytecode;
-/// CSymExecutor routes every body — the entry function's and each inlined
-/// callee's — through it, falling back to its own AST walker when the
-/// engine declines (body not lowerable). The engine drives the executor
-/// purely through its public adapter API below, so the two always agree
-/// on memory, diagnostics, and statistics.
+/// The function-body engine. The IR interpreter (src/concolic/
+/// CIrExecutor) is the one implementation; CSymExecutor routes every body
+/// — the entry function's and each inlined callee's — through it. The
+/// interface exists only to break the library cycle (the engine lives in
+/// mix_concolic, which links mix_csym): the engine drives the executor
+/// purely through its public adapter API below.
 class CBodyEngine {
 public:
   virtual ~CBodyEngine() = default;
 
-  /// Executes \p F's body from \p State at inline depth \p Depth,
-  /// appending the resulting paths to \p Out. Returns false — before any
-  /// side effect on \p Out, the executor, or \p State — to decline, in
-  /// which case the caller walks the AST with the untouched state. On
-  /// true, \p State has been consumed.
-  virtual bool runBody(const CFuncDecl *F, CSymState &State, unsigned Depth,
-                       std::vector<CSymState> &Out) = 0;
+  /// Executes \p F's body from \p State at inline depth \p Depth and
+  /// returns the resulting paths.
+  virtual std::vector<CSymState> runBody(const CFuncDecl *F, CSymState State,
+                                         unsigned Depth) = 0;
 };
 
 /// Tuning knobs.
@@ -169,8 +164,8 @@ public:
 
   void setTypedCallHook(TypedCallHook *Hook) { this->Hook = Hook; }
 
-  /// Installs (or clears) the body-execution engine. The executor keeps
-  /// walking the AST for bodies the engine declines.
+  /// Installs the body-execution engine (concolic::makeCBodyEngine does
+  /// this). Every run needs one.
   void setBodyEngine(CBodyEngine *Engine) { this->Engine = Engine; }
 
   /// Executes \p F with symbolic arguments. \p ParamSeeds gives the
@@ -240,17 +235,10 @@ public:
 
   // --- adapter API -------------------------------------------------------
   //
-  // The memory-model/diagnostics surface a CBodyEngine drives. This is
-  // the executor's role under the unified concolic core: the *state*
-  // layer (lazy-init store, pointer case analysis, feasibility checks,
-  // deduplicated warnings with witness provenance) while the engine owns
-  // instruction dispatch. The AST walker below is one client of this
-  // surface; the IR interpreter is the other.
-
-  struct Frame {
-    const CFuncDecl *Func = nullptr;
-    unsigned Depth = 0;
-  };
+  // The memory-model/diagnostics surface the CBodyEngine drives. This is
+  // the executor's role: the *state* layer (lazy-init store, pointer case
+  // analysis, feasibility checks, deduplicated warnings with witness
+  // provenance) while the engine owns instruction dispatch.
 
   /// A state paired with the value an expression produced on that path.
   struct Flow {
@@ -265,17 +253,12 @@ public:
     std::string Field;
   };
 
-  /// A state paired with the cells an lvalue resolved to on that path.
-  struct LResolved {
-    CSymState State;
-    std::vector<LVal> Cells;
-  };
-
   /// Dispatches a call with evaluated arguments to a known callee: typed
-  /// hook, nonnull-argument checks, extern modelling, or inlining.
+  /// hook, nonnull-argument checks, extern modelling, or inlining. \p Depth
+  /// is the inline depth of the calling body.
   void dispatchCall(const CCall *Call, const CFuncDecl *Callee,
                     const std::vector<CSymValue> &Args, CSymState State,
-                    const Frame &Frame, std::vector<Flow> &Out);
+                    unsigned Depth, std::vector<Flow> &Out);
   /// Conservative model of a call that cannot be inlined.
   Flow externCall(const CCall *Call, const CFuncDecl *Callee,
                   const std::vector<CSymValue> &Args, CSymState State);
@@ -325,9 +308,8 @@ public:
 
   const CSymOptions &options() const { return Opts; }
   CAstContext &context() { return Ctx; }
-  CSema &sema() { return Sema; }
 
-  /// execStmt's entry budget check: too many paths explored this run?
+  /// The statement-entry budget check: too many paths explored this run?
   bool pathBudgetExceeded() const { return PathsThisRun > Opts.MaxPaths; }
   /// Marks the current run's enumeration as non-exhaustive.
   void noteIncomplete() { IncompleteThisRun = true; }
@@ -342,41 +324,17 @@ public:
   void noteNullCheck() { ++Statistics.NullChecks; }
 
 private:
-  // Statement execution: transforms one path into many.
-  std::vector<CSymState> execStmt(const CStmt *S, CSymState State,
-                                  const Frame &Frame);
-  std::vector<CSymState> execWhile(const CWhileStmt *W, CSymState State,
-                                   const Frame &Frame);
-
-  /// Executes \p F's body: through the installed engine when it accepts,
-  /// the AST walker otherwise. Both runFunction and inlineCall route
-  /// bodies through here, so mixed-mode runs (engine for lowerable
-  /// bodies, walker for the rest) compose per callee.
+  /// Executes \p F's body at inline depth \p Depth through the installed
+  /// engine. Both runFunction and inlineCall route bodies through here.
   std::vector<CSymState> runBody(const CFuncDecl *F, CSymState State,
-                                 const Frame &Frame);
+                                 unsigned Depth);
 
-  // Expression evaluation (calls can fork).
-  std::vector<Flow> evalExpr(const CExpr *E, CSymState State,
-                             const Frame &Frame);
-  std::vector<Flow> evalCall(const CCall *Call, CSymState State,
-                             const Frame &Frame);
   std::vector<Flow> inlineCall(const CFuncDecl *F,
                                const std::vector<CSymValue> &Args,
                                CSymState State, unsigned Depth);
 
-  /// Resolves an lvalue to guarded cells, warning about feasible null
-  /// dereferences along the way and refining the path condition
-  /// (continuing execution assumes the dereference did not trap).
-  std::vector<LResolved> resolveLValue(const CExpr *E, CSymState State,
-                                       const Frame &Frame);
-
-  const CType *typeOf(const CExpr *E, const CSymState &State,
-                      const Frame &Frame);
-  CScope scopeOf(const CSymState &State, const Frame &Frame) const;
-
   const CProgram &Program;
   CAstContext &Ctx;
-  CSema Sema;
   DiagnosticEngine &Diags;
   smt::TermArena &Terms;
   smt::ISolver &Solver;

@@ -6,16 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The mini-C dialect of the bytecode: `CExpr`/`CStmt` function bodies
-/// lowered once per function and interpreted by the unified concolic core
-/// (src/concolic/CIrExecutor) against a `CSymState`-backed memory model.
-/// The design goal is the same as Ir.h's: *observational equivalence*
-/// with the AST-walking CSymExecutor — byte-identical warnings, fresh
-/// term numbering, object allocation order, trails, and budget trips —
-/// while replacing recursive Flow-vector dispatch with a flat
-/// instruction stream.
+/// The mini-C bytecode: `CExpr`/`CStmt` function bodies lowered once per
+/// function and interpreted by the concolic core (src/concolic/
+/// CIrExecutor) against a `CSymState`-backed memory model. It is the only
+/// way mini-C bodies execute. Its observable behavior — warnings, fresh
+/// term numbering, object allocation order, trails, budget trips — is
+/// pinned by the CLI goldens (tests/golden/) and the frozen digests in
+/// tests/CIrDiffTest.cpp.
 ///
-/// Shape (mirrors Ir.h, adapted to C's statement/expression split):
+/// Shape:
 ///  - Every lowered expression leaves its value in a write-once register.
 ///    Registers hold either a `CSymValue` or the guarded cell list an
 ///    lvalue resolved to; locals themselves live in the store (LocId
@@ -23,17 +22,15 @@
 ///  - Control flow is *region-structured*: `branch` names then/else
 ///    statement sub-regions, `loop` names a condition region (whose
 ///    Result register is the condition value) and a body region. The
-///    interpreter replays CSymExecutor's exact continuation order using
-///    Region::Spans barriers — including the per-argument and
-///    per-statement prefix spans the lowerer emits for call argument
-///    threading (ArgStates) and block statement sequencing.
-///  - Every statement begins with a `stmt_entry` guard replicating
-///    execStmt's entry checks (returned states skip, path-budget trips
-///    mark the run incomplete and skip) with a backpatched skip target.
-///  - Constructs the lowering does not model (lvalue positions that are
-///    not an identifier, `*p`, or a member access) make `lowerC` fail;
-///    the engine then falls back to the AST walker *loudly*
-///    (exec.fallback.ast).
+///    interpreter keeps a nested continuation order using CRegion::Spans
+///    barriers — including the per-argument and per-statement prefix
+///    spans the lowerer emits for call argument threading and block
+///    statement sequencing.
+///  - Every statement begins with a `stmt_entry` guard (returned states
+///    skip, path-budget trips mark the run incomplete and skip) with a
+///    backpatched skip target.
+///  - Every construct lowers: an lvalue position that holds no lvalue
+///    becomes `not_lvalue`, which warns and ends the path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +49,7 @@ namespace mix {
 namespace ir {
 
 enum class COpcode : uint8_t {
-  CStmtEntry,  ///< execStmt entry guard; Imm = skip-target instr index
+  CStmtEntry,  ///< statement entry guard; Imm = skip-target instr index
   CConstInt,   ///< Dst = scalar(intConst(Imm)) (int literals, sizeof)
   CStr,        ///< Dst = pointer to a fresh "<string>" char object
   CNull,       ///< Dst = the definite null pointer
@@ -62,6 +59,8 @@ enum class COpcode : uint8_t {
   CLValDeref,  ///< Dst = cells of *A (null check + path refinement)
   CLValArrow,  ///< Dst = cells of A->Names[Aux] (null check + refinement)
   CLValField,  ///< Dst = cells A with field Names[Aux] appended
+  CNotLValue,  ///< warn "expression is not an lvalue" at Loc; 0 outcomes
+               ///< (Dst is a cells register no instruction ever reads)
   CReadMerged, ///< Dst = ite-merged read of cells A (member rvalue);
                ///< 0 outcomes when A resolved to no cells
   CDerefRead,  ///< Dst = rvalue *A (function decay, null check, merge)
@@ -90,9 +89,9 @@ const char *copcodeName(COpcode Op);
 constexpr uint32_t CNoReg = 0xffffffffu;
 constexpr uint32_t CNoRegion = 0xffffffffu;
 
-/// One mini-C instruction. Payloads that the core IR packs into a union
-/// stay separate fields here: the mini-C interpreter's cost is dominated
-/// by solver terms and store copies, not instruction streaming.
+/// One mini-C instruction. Payloads stay separate fields rather than a
+/// union: the interpreter's cost is dominated by solver terms and store
+/// copies, not instruction streaming.
 struct CInstr {
   COpcode Op = COpcode::CStmtEntry;
   c::CBinaryOp BOp = c::CBinaryOp::Add; ///< CBinOp payload
@@ -117,12 +116,12 @@ struct CRegion {
   std::vector<CInstr> Code;
   uint32_t Result = CNoReg;
 
-  /// Continuation barriers, exactly as Region::Spans (see Ir.h): the
+  /// Continuation barriers (see src/concolic/CIrExecutor.cpp): the
   /// [start, end) range of every lowered node, plus synthetic *prefix
   /// spans* — [call start, arg K end) per call argument and
-  /// [block start, stmt K end) per block statement — that replay
-  /// CSymExecutor's ArgStates threading and per-statement Active-set
-  /// sequencing when an instruction yields several outcomes.
+  /// [block start, stmt K end) per block statement — so that after an
+  /// instruction yields several outcomes, each later argument and each
+  /// later statement runs for all of them before the next one.
   std::vector<std::pair<uint32_t, uint32_t>> Spans;
 };
 
@@ -135,20 +134,14 @@ struct CIrFunction {
   std::vector<CRegion> Regions;
   std::vector<std::string> Names;   ///< interned names/fields/labels
   std::vector<uint32_t> ArgRegs;    ///< pooled CCall argument registers
-  /// Stable content hash of the printed bytecode (goldens, metrics).
-  uint64_t CodeHash = 0;
 };
 
-/// Lowers \p F's body to bytecode, or returns null when the body
-/// contains a construct the lowering does not model (the caller must
-/// fall back to the AST walker); \p WhyNot, when given, receives the
-/// reason. \p Program resolves direct callees and the malloc intrinsic
-/// exactly as CSymExecutor does.
+/// Lowers \p F's body to bytecode; null only when \p F has no body.
+/// \p Program resolves direct callees and the malloc intrinsic.
 std::unique_ptr<CIrFunction> lowerC(const c::CFuncDecl *F,
-                                    const c::CProgram &Program,
-                                    std::string *WhyNot = nullptr);
+                                    const c::CProgram &Program);
 
-/// Structural verifier (see ir::verify): write-once registers, operands
+/// Structural verifier: write-once registers, operands
 /// defined before use and of the right class (value vs. cell list),
 /// call arity against the AST node, skip targets in range, region tree
 /// well-formed. Empty string = well-formed.

@@ -5,36 +5,27 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Lowers one CFuncDecl body into a CIrFunction. The translation is a
-// 1:1 transcription of CSymExecutor's evalExpr/resolveLValue/execStmt
-// recursion into flat instructions: every case that the AST walker
-// handles dynamically per path (identifier scoping, pointer case
-// analysis, lazy initialization) stays dynamic in the matching opcode;
-// everything the walker decides from the AST alone (malloc intrinsics,
-// direct callees, statement structure) is decided here, once.
+// Lowers one CFuncDecl body into a CIrFunction. Everything that depends
+// on the path (identifier scoping, pointer case analysis, lazy
+// initialization) stays dynamic in the matching opcode; everything the
+// AST alone decides (malloc intrinsics, direct callees, statement
+// structure, lvalue positions that hold no lvalue) is decided here, once.
 //
 // Continuation barriers: each node records its [start, end) span, and
-// two constructs add synthetic *prefix spans* so the interpreter's
-// barrier replay matches the walker's nested loops exactly —
-//  - calls: evalCall threads ArgStates through each argument, i.e.
-//    after a fork inside argument J, arguments J+1..N each run for all
-//    outcomes before the callee dispatch; the spans
-//    [call start, arg K end) reproduce those barriers;
-//  - blocks: execStmt(Block) runs each statement for the whole Active
-//    set before the next; the spans [block start, stmt K end) ditto.
-//
-// Unsupported constructs (assignment targets / address-of / member
-// bases that are not lvalues — the walker's "expression is not an
-// lvalue" path) make lowering fail; the engine falls back to the AST
-// walker for the whole body, loudly (exec.fallback.ast).
+// two constructs add synthetic *prefix spans* —
+//  - calls: after a fork inside argument J, arguments J+1..N each run
+//    for all outcomes before the callee dispatch; the spans
+//    [call start, arg K end) are those barriers;
+//  - blocks: each statement runs for every live path before the next;
+//    the spans [block start, stmt K end) ditto.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ir/CIr.h"
 
 #include "cfront/CSema.h"
-#include "support/Hash.h"
 
+#include <cassert>
 #include <map>
 
 using namespace mix;
@@ -51,31 +42,18 @@ public:
     F->Func = Func;
   }
 
-  std::unique_ptr<CIrFunction> run(std::string *WhyNot) {
-    uint32_t Body = newRegion();
-    (void)Body;
+  std::unique_ptr<CIrFunction> run() {
+    newRegion(); // region 0: the body
     lowerStmt(0, F->Func->body());
-    if (!Fail.empty()) {
-      if (WhyNot)
-        *WhyNot = Fail;
-      return nullptr;
-    }
     F->NumRegs = NextReg;
-    F->CodeHash = stableHash64(printC(*F));
     return std::move(F);
   }
 
 private:
   const CProgram &Program;
   std::unique_ptr<CIrFunction> F;
-  std::string Fail;
   uint32_t NextReg = 0;
   std::map<std::string, uint32_t> Interned;
-
-  void unsupported(std::string Why) {
-    if (Fail.empty())
-      Fail = std::move(Why);
-  }
 
   uint32_t fresh() { return NextReg++; }
 
@@ -109,8 +87,8 @@ private:
 
   // --- expressions (rvalue position) -----------------------------------
 
-  /// Lowers \p E into region \p R; returns the value register (CNoReg on
-  /// failure). Records the node's span.
+  /// Lowers \p E into region \p R; returns the value register. Records
+  /// the node's span.
   uint32_t lowerExpr(uint32_t R, const CExpr *E) {
     uint32_t Start = size(R);
     uint32_t Reg = lowerExprNode(R, E);
@@ -119,8 +97,6 @@ private:
   }
 
   uint32_t lowerExprNode(uint32_t R, const CExpr *E) {
-    if (!Fail.empty())
-      return CNoReg;
     switch (E->kind()) {
     case CExprKind::IntLit: {
       CInstr In;
@@ -130,7 +106,7 @@ private:
       return push(R, In).Dst;
     }
     case CExprKind::SizeOf: {
-      // evalExpr models sizeof as the constant 8.
+      // sizeof is the constant 8: the exact size is immaterial here.
       CInstr In;
       In.Op = COpcode::CConstInt;
       In.Dst = fresh();
@@ -196,7 +172,7 @@ private:
         return push(R, In).Dst;
       }
       }
-      unsupported("unknown unary operator");
+      assert(false && "unhandled unary operator");
       return CNoReg;
     }
     case CExprKind::Binary: {
@@ -240,7 +216,7 @@ private:
       const auto *C = cast<CCast>(E);
       // (T*)malloc(...): allocate an object of the cast's pointee type,
       // named after the *cast* expression's location. Arguments are
-      // never evaluated (evalExpr returns before touching them).
+      // never evaluated.
       if (const auto *Call = dyn_cast<CCall>(C->sub()))
         if (const auto *Id = dyn_cast<CIdent>(Call->callee()))
           if (Id->name() == "malloc" && !Program.findFunc("malloc") &&
@@ -257,7 +233,7 @@ private:
       return lowerExpr(R, C->sub());
     }
     }
-    unsupported("unknown expression kind");
+    assert(false && "unhandled expression kind");
     return CNoReg;
   }
 
@@ -279,7 +255,7 @@ private:
     for (const CExpr *Arg : Call->args()) {
       Args.push_back(lowerExpr(R, Arg));
       // Prefix span: after a fork in an earlier argument, this argument
-      // runs for every outcome before the next one (ArgStates).
+      // runs for every outcome before the next one.
       span(R, Start);
     }
 
@@ -311,12 +287,10 @@ private:
     return Reg;
   }
 
-  /// Transcribes resolveLValue: identifiers, *ptr, and member accesses
-  /// resolve to guarded cells; anything else is the walker's
-  /// "expression is not an lvalue" path — not lowered, AST fallback.
+  /// Identifiers, *ptr, and member accesses resolve to guarded cells;
+  /// anything else lowers to not_lvalue, which warns at \p E and ends
+  /// the path.
   uint32_t lowerLValueNode(uint32_t R, const CExpr *E) {
-    if (!Fail.empty())
-      return CNoReg;
     switch (E->kind()) {
     case CExprKind::Ident: {
       CInstr In;
@@ -362,9 +336,11 @@ private:
     default:
       break;
     }
-    unsupported("lvalue position holds a non-lvalue expression (" +
-                E->loc().str() + ")");
-    return CNoReg;
+    CInstr In;
+    In.Op = COpcode::CNotLValue;
+    In.Dst = fresh();
+    In.Loc = E->loc();
+    return push(R, In).Dst;
   }
 
   // --- statements -------------------------------------------------------
@@ -373,8 +349,6 @@ private:
   /// backpatched to the statement's end), the statement's instructions,
   /// and the node span.
   void lowerStmt(uint32_t R, const CStmt *S) {
-    if (!Fail.empty())
-      return;
     uint32_t Start = size(R);
     CInstr Entry;
     Entry.Op = COpcode::CStmtEntry;
@@ -468,19 +442,15 @@ private:
       return;
     }
     }
-    unsupported("unknown statement kind");
+    assert(false && "unhandled statement kind");
   }
 };
 
 } // namespace
 
 std::unique_ptr<CIrFunction> ir::lowerC(const CFuncDecl *Func,
-                                        const CProgram &Program,
-                                        std::string *WhyNot) {
-  if (!Func || !Func->isDefined()) {
-    if (WhyNot)
-      *WhyNot = "function has no body";
+                                        const CProgram &Program) {
+  if (!Func || !Func->isDefined())
     return nullptr;
-  }
-  return CLowerer(Func, Program).run(WhyNot);
+  return CLowerer(Func, Program).run();
 }

@@ -32,6 +32,8 @@ const char *ir::copcodeName(COpcode Op) {
     return "lval_arrow";
   case COpcode::CLValField:
     return "lval_field";
+  case COpcode::CNotLValue:
+    return "not_lvalue";
   case COpcode::CReadMerged:
     return "read_merged";
   case COpcode::CDerefRead:
@@ -123,6 +125,10 @@ void printInstr(std::ostringstream &OS, const CIrFunction &F,
   case COpcode::CLValField:
     OS << "%" << In.Dst << " = lval_field %" << In.A << " ";
     printName(OS, F, In.Aux);
+    printLoc(OS, In.Loc);
+    break;
+  case COpcode::CNotLValue:
+    OS << "%" << In.Dst << " = not_lvalue";
     printLoc(OS, In.Loc);
     break;
   case COpcode::CReadMerged:

@@ -5,8 +5,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Same contract as ir::verify, plus the mini-C-specific invariants:
-// registers are classed as *value* (a CSymValue) or *cells* (an lvalue's
+// Checks that registers are written once and defined before use, that
+// sub-regions form a tree (each referenced once, none unreachable), and
+// the mini-C-specific invariants: registers are classed as *value* (a CSymValue) or *cells* (an lvalue's
 // guarded cell list) and every operand must be of the right class; call
 // arity must match the AST node; stmt_entry skip targets must stay
 // inside the region and move forward.
@@ -107,6 +108,10 @@ struct CVerifier {
       case COpcode::CLValIdent:
         if (!name(R, I, In.Aux) ||
             !def(R, I, In.Dst, RegClass::Cells, Def))
+          return false;
+        break;
+      case COpcode::CNotLValue:
+        if (!def(R, I, In.Dst, RegClass::Cells, Def))
           return false;
         break;
       case COpcode::CLValDeref:

@@ -217,9 +217,7 @@ private:
   std::unique_ptr<smt::ISolver> Solver;
   SymToSmt Translator;
   TypeChecker Checker;
-  /// The engine SymExecOptions::ExecMode selected (--exec=ast|ir): the
-  /// AST-walking SymExecutor or the compiled-IR concolic interpreter.
-  std::unique_ptr<ExecEngine> Executor;
+  SymExecutor Executor;
   MixStats Statistics;
 
   // Registry handles mirroring MixStats live (null/free without a

@@ -46,10 +46,8 @@ struct MixyAnalysis::WorkerContext {
         Exec(A.Program, A.Ctx, Diags, SolverLease.terms(),
              SolverLease.solver(), A.Opts.Sym) {
     Exec.setTypedCallHook(&A);
-    BodyEngine = concolic::makeCBodyEngine(Exec, A.Opts.ExecMode,
-                                           A.Opts.Metrics, A.Opts.Telemetry);
-    if (BodyEngine)
-      Exec.setBodyEngine(BodyEngine.get());
+    BodyEngine =
+        concolic::makeCBodyEngine(Exec, A.Opts.Metrics, A.Opts.Telemetry);
   }
 };
 
@@ -89,9 +87,7 @@ uint64_t mix::c::mixyPersistFingerprint(const MixyOptions &Opts) {
   // Backend choice changes the DecidedBy provenance persisted inside
   // block summaries (verdicts themselves are backend-independent).
   // Sym.IncrementalSolver is deliberately excluded: it only changes how
-  // queries are batched, never a verdict or a diagnostic. ExecMode is
-  // excluded for the same reason: the IR engine is byte-identical to the
-  // AST walker, so --exec=ast and --exec=ir runs share a block store.
+  // queries are batched, never a verdict or a diagnostic.
   H.str(Opts.Solver.Backend);
   return H.digest();
 }
@@ -120,10 +116,7 @@ MixyAnalysis::MixyAnalysis(const CProgram &Program, CAstContext &Ctx,
                    "parseSolverBackend before constructing)");
   Qual.setSymHook(this);
   Exec.setTypedCallHook(this);
-  BodyEngine = concolic::makeCBodyEngine(Exec, Opts.ExecMode, Opts.Metrics,
-                                         Opts.Telemetry);
-  if (BodyEngine)
-    Exec.setBodyEngine(BodyEngine.get());
+  BodyEngine = concolic::makeCBodyEngine(Exec, Opts.Metrics, Opts.Telemetry);
 }
 
 MixyAnalysis::~MixyAnalysis() = default;

@@ -68,7 +68,6 @@
 #include "qual/QualInference.h"
 #include "runtime/ThreadPool.h"
 #include "solver/SolverPool.h"
-#include "symexec/SymExecutor.h"
 
 #include <map>
 #include <memory>
@@ -105,15 +104,6 @@ struct MixyOptions {
   CSymOptions Sym;
   QualOptions Qual;
   smt::SmtOptions Smt;
-  /// Which engine executes symbolic blocks (--exec=ast|ir, shared with
-  /// the core-language executor). Ir lowers each mini-C body once to the
-  /// flat bytecode (src/ir/CIr.h) and interprets it through the unified
-  /// concolic core (src/concolic/CIrExecutor); bodies the lowering cannot
-  /// model fall back to the AST walker per callee, counted in
-  /// exec.fallback.ast. Diagnostics are byte-identical between the two
-  /// engines, which is why this knob — like Jobs and IncrementalSolver —
-  /// is deliberately excluded from mixyPersistFingerprint().
-  SymExecOptions::Engine ExecMode = SymExecOptions::Engine::Ast;
   /// Which solver backend answers feasibility queries. Applies to the
   /// serial solver and every pooled worker instance alike.
   smt::SolverSpec Solver;
@@ -433,8 +423,8 @@ private:
   PointsToAnalysis PtrAnal;
   QualInference Qual;
   CSymExecutor Exec;
-  /// The serial executor's body engine (--exec=ir; null for the AST
-  /// walker). Workers own theirs, bound to their own executor.
+  /// The serial executor's body engine (the IR interpreter). Workers own
+  /// theirs, bound to their own executor.
   std::unique_ptr<CBodyEngine> BodyEngine;
 
   /// The shared mix engine: block caches, recursion stack discipline,

@@ -4,15 +4,21 @@
 // Execution" (PLDI 2010).
 //
 // A small concrete interpreter for mini-C (test-only) and a random
-// program generator; on closed, deterministic programs the symbolic
-// executor degenerates to an interpreter and must produce exactly one
-// path whose return value matches concrete execution.
+// program generator. The interpreter shares no code with the symbolic
+// executor's IR engine, which makes it the independent oracle: on
+// closed, deterministic programs symbolic execution degenerates to an
+// interpreter and must produce exactly one path whose return value
+// matches concrete execution, and on programs with symbolic inputs the
+// paths must partition the inputs and agree with it on each.
 //
 //===----------------------------------------------------------------------===//
 
 #include "cfront/CParser.h"
 #include "cfront/CPrinter.h"
+#include "cfront/CSema.h"
+#include "concolic/CIrExecutor.h"
 #include "csym/CSymExecutor.h"
+#include "observe/Metrics.h"
 #include "solver/SmtSolver.h"
 
 #include <gtest/gtest.h>
@@ -530,7 +536,11 @@ TEST_P(CDifferentialTest, SymbolicExecutionMatchesInterpretation) {
     CSymOptions Opts;
     Opts.LoopBound = 16;
     CSymExecutor Exec(*P, Ctx, Diags, Terms, Solver, Opts);
+    mix::obs::MetricsRegistry Reg;
+    auto Engine = mix::concolic::makeCBodyEngine(Exec, &Reg, nullptr);
     CSymResult R = Exec.runFunction(P->findFunc("main"));
+    // The bodies really ran on the IR engine.
+    ASSERT_GT(Reg.counterValue("ir.lower.misses"), 0u) << Source;
 
     ASSERT_EQ(R.WarningCount, 0u) << Source;
     ASSERT_EQ(R.Paths.size(), 1u) << "deterministic program forked:\n"
@@ -743,7 +753,10 @@ TEST_P(CSymbolicDifferentialTest, PathsPartitionInputsAndAgree) {
     CSymOptions Opts;
     Opts.LoopBound = 16;
     CSymExecutor Exec(*P, Ctx, Diags, Terms, Solver, Opts);
+    mix::obs::MetricsRegistry Reg;
+    auto Engine = mix::concolic::makeCBodyEngine(Exec, &Reg, nullptr);
     CSymResult R = Exec.runFunction(P->findFunc("main"));
+    ASSERT_GT(Reg.counterValue("ir.lower.misses"), 0u) << Source;
     ASSERT_FALSE(R.Incomplete) << Source;
     ASSERT_EQ(R.ParamTerms.size(), 2u);
     unsigned AVar = R.ParamTerms[0]->varId();

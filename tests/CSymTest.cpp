@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "cfront/CParser.h"
+#include "concolic/CIrExecutor.h"
 #include "csym/CSymExecutor.h"
 #include "solver/SmtSolver.h"
 
@@ -30,6 +31,7 @@ protected:
       return ~0u;
     Exec = std::make_unique<CSymExecutor>(*P, Ctx, Diags, Terms, Solver,
                                           Opts);
+    Engine = mix::concolic::makeCBodyEngine(*Exec, nullptr, nullptr);
     Last = Exec->runFunction(P->findFunc(Entry));
     return Last.WarningCount;
   }
@@ -39,6 +41,7 @@ protected:
   mix::smt::TermArena Terms;
   mix::smt::SmtSolver Solver{Terms};
   std::unique_ptr<CSymExecutor> Exec;
+  std::unique_ptr<CBodyEngine> Engine;
   CSymResult Last;
 };
 
@@ -323,6 +326,7 @@ TEST_F(CSymTest, TypedCallHookIntercepts) {
                              Ctx, Diags);
   ASSERT_NE(P, nullptr) << Diags.str();
   CSymExecutor Exec2(*P, Ctx, Diags, Terms, Solver);
+  auto Engine2 = mix::concolic::makeCBodyEngine(Exec2, nullptr, nullptr);
   CountingHook Hook;
   Exec2.setTypedCallHook(&Hook);
   CSymResult R = Exec2.runFunction(P->findFunc("f"));
@@ -406,6 +410,7 @@ TEST_F(CSymTest, GlobalSeedsOverrideDeclarations) {
                              Ctx, Diags);
   ASSERT_NE(P, nullptr) << Diags.str();
   CSymExecutor Exec2(*P, Ctx, Diags, Terms, Solver);
+  auto Engine2 = mix::concolic::makeCBodyEngine(Exec2, nullptr, nullptr);
   // Seeded nonnull: the dereference is clean.
   std::map<std::string, NullSeed> Seeds;
   Seeds["g"] = NullSeed::Nonnull;
@@ -413,6 +418,7 @@ TEST_F(CSymTest, GlobalSeedsOverrideDeclarations) {
   EXPECT_EQ(R.WarningCount, 0u);
   // Seeded maybe-null: it warns.
   CSymExecutor Exec3(*P, Ctx, Diags, Terms, Solver);
+  auto Engine3 = mix::concolic::makeCBodyEngine(Exec3, nullptr, nullptr);
   Seeds["g"] = NullSeed::MayBeNull;
   CSymResult R2 = Exec3.runFunction(P->findFunc("f"), {}, Seeds);
   EXPECT_EQ(R2.WarningCount, 1u);
@@ -511,6 +517,7 @@ void runDeepBranch(bool Incremental, uint64_t &Queries, std::string &Diag,
   CSymOptions Opts;
   Opts.IncrementalSolver = Incremental;
   CSymExecutor Exec(*P, Ctx, Diags, Terms, Solver, Opts);
+  auto Engine = mix::concolic::makeCBodyEngine(Exec, nullptr, nullptr);
   CSymResult R = Exec.runFunction(P->findFunc("f"));
   Queries = Solver.queries();
   Diag = Diags.str();

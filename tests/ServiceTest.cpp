@@ -189,6 +189,17 @@ TEST(ProtocolTest, RemovedSolverPortfolioFieldIsRejected) {
   EXPECT_EQ(Error, "unknown request field 'solver_portfolio'");
 }
 
+TEST(ProtocolTest, RemovedExecFieldIsRejected) {
+  // Each language has one executor now; a version-1 client that still
+  // picks one with "exec" gets the strict decoder's error.
+  service::AnalysisRequest Out;
+  std::string Error;
+  EXPECT_FALSE(service::decodeRequest(
+      "{\"version\": 1, \"tool\": \"mixy\", \"exec\": \"ir\"}", Out,
+      Error));
+  EXPECT_EQ(Error, "unknown request field 'exec'");
+}
+
 TEST(ProtocolTest, UnicodeEscapesDecodeToUtf8) {
   json::Value V;
   std::string Error;

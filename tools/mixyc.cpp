@@ -178,15 +178,11 @@ int main(int Argc, char **Argv) {
            << Reg.counterValue("engine.worklist.reruns") << "\n"
            << "engine fixpoint rounds   : "
            << Reg.counterValue("engine.fixpoint.rounds") << "\n";
-      // The IR engine's mini-C coverage: bodies lowered once (then served
-      // from the per-function cache) and bodies that fell back to the AST
-      // walker because the lowering declined them — the loud counterpart
-      // of what used to be a silent no-op.
-      if (Req.ExecMode == mix::SymExecOptions::Engine::Ir)
-        Info << "ir-engine bodies         : "
-             << Reg.counterValue("ir.lower.misses") << " lowered (+"
-             << Reg.counterValue("ir.lower.hits") << " cached), "
-             << Reg.counterValue("exec.fallback.ast") << " AST fallback(s)\n";
+      // The IR engine's mini-C bodies: lowered once, then served from
+      // the per-function cache.
+      Info << "ir-engine bodies         : "
+           << Reg.counterValue("ir.lower.misses") << " lowered (+"
+           << Reg.counterValue("ir.lower.hits") << " cached)\n";
       if (Req.Jobs > 1)
         Info << "sym block cache          : " << Resp.SymCacheStats << "\n"
              << "typed block cache        : " << Resp.TypedCacheStats << "\n";

@@ -366,8 +366,6 @@ private:
       AReq.Solver.Backend = Driver.solverSpec().Backend;
     if (!Params.has("trace"))
       AReq.Trace = Driver.traceSink() != nullptr;
-    if (!Params.has("exec"))
-      AReq.ExecMode = Driver.execMode();
 
     // Admission control: never more than --max-inflight analyses queued
     // or running; extra requests get a structured busy error immediately.
