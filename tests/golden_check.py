@@ -7,7 +7,9 @@ and its exit code with the files recorded under tests/golden/cli/
 user-visible surface of both executors: the MIXY case studies in every
 output format (text, json, sarif) and with --explain, a parallel
 --jobs=4 run, the mixcheck program with a reference, a conditional and
-a planted type error, and the mini-C non-lvalue assignment target.
+a planted type error, a --precise-deref program whose dereference the
+solver must clear under the path condition, and the mini-C non-lvalue
+assignment target.
 
     golden_check.py --mixyc BIN --mixcheck BIN [--only CASE ...]
     golden_check.py --mixyc BIN --mixcheck BIN --record
@@ -35,9 +37,18 @@ INPUTS = {
                    "  a + 1 = 2;\n"
                    "  return a;\n"
                    "}\n",
+    # p := 1 leaves an ill-typed write at p; reading q then asks the
+    # solver whether q may alias p under the path condition. The inner
+    # then-path is infeasible (Unsat, excused), the else-path is not (Sat,
+    # rejected); p := true overwrites the bad write before block exit.
+    "deref.mix": "{s if 0 < y then\n"
+                 "     (if y < 0 then (p := 1; let v = !q in (p := true; v))\n"
+                 "      else (p := 1; let v = !q in (p := true; v)))\n"
+                 "   else true s}\n",
 }
 
 MIXCHECK_VARS = ["--var", "b:bool", "--var", "y:int"]
+DEREF_VARS = ["--var", "y:int", "--var", "p:bool ref", "--var", "q:bool ref"]
 
 
 def cases():
@@ -56,6 +67,10 @@ def cases():
                     MIXCHECK_VARS + [f"--format={fmt}", "prog.mix"]))
     out.append(("mixcheck-prog-explain", "mixcheck",
                 MIXCHECK_VARS + ["--explain", "prog.mix"]))
+    out.append(("mixcheck-deref-precise-text", "mixcheck",
+                DEREF_VARS + ["--precise-deref", "deref.mix"]))
+    out.append(("mixcheck-deref-precise-explain", "mixcheck",
+                DEREF_VARS + ["--precise-deref", "--explain", "deref.mix"]))
     out.append(("mixyc-nonlvalue-symbolic", "mixyc",
                 ["--start=symbolic", "--entry=bad", "nonlvalue.c"]))
     return out
