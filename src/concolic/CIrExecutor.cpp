@@ -233,7 +233,7 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
         const Term *NullG = V.nullGuard(T);
         if (Exec.feasibleWith(S, NullG))
           Exec.warn(In.Loc, "possible null dereference", &S,
-                    T.andTerm(S.Path, NullG));
+                    T.andTerm(Exec.pathTerm(S), NullG));
       }
       // Continue under the assumption the dereference survived.
       Exec.extendPath(S, V.nonNullGuard(T));
@@ -306,7 +306,7 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
         const Term *NullG = V.nullGuard(T);
         if (Exec.feasibleWith(S, NullG))
           Exec.warn(In.Loc, "possible null dereference", &S,
-                    T.andTerm(S.Path, NullG));
+                    T.andTerm(Exec.pathTerm(S), NullG));
       }
       Exec.extendPath(S, V.nonNullGuard(T));
       if (!Exec.feasible(S))

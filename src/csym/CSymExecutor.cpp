@@ -14,8 +14,7 @@ CSymExecutor::CSymExecutor(const CProgram &Program, CAstContext &Ctx,
                            DiagnosticEngine &Diags, smt::TermArena &Terms,
                            smt::ISolver &Solver, CSymOptions Opts)
     : Program(Program), Ctx(Ctx), Diags(Diags), Terms(Terms), Solver(Solver),
-      PathChecker(Solver, Opts.IncrementalSolver, Solver.options().Metrics),
-      Opts(Opts) {
+      Stack(Solver.openStack()), Opts(Opts) {
   Objects.push_back({nullptr, "<none>"}); // slot 0 = NoLoc
 }
 
@@ -54,18 +53,17 @@ const CType *CSymExecutor::cellType(LocId Loc,
 }
 
 bool CSymExecutor::feasible(const CSymState &State) {
-  if (State.Path->kind() == smt::TermKind::BoolConst)
-    return State.Path->value() != 0;
-  return PathChecker.checkPath(State.PC, State.Path) !=
-         smt::SolveResult::Unsat;
+  const Term *Path = pathTerm(State);
+  if (Path->kind() == smt::TermKind::BoolConst)
+    return Path->value() != 0;
+  return Stack->checkPath(State.PC) != smt::SolveResult::Unsat;
 }
 
 bool CSymExecutor::feasibleWith(const CSymState &State, const Term *Extra) {
-  const Term *Whole = Terms.andTerm(State.Path, Extra);
+  const Term *Whole = Terms.andTerm(pathTerm(State), Extra);
   if (Whole->kind() == smt::TermKind::BoolConst)
     return Whole->value() != 0;
-  return PathChecker.checkPathWith(State.PC, State.Path, Extra) !=
-         smt::SolveResult::Unsat;
+  return Stack->checkPath(State.PC, Extra) != smt::SolveResult::Unsat;
 }
 
 void CSymExecutor::warn(SourceLoc Loc, const std::string &Message,
@@ -79,7 +77,7 @@ void CSymExecutor::warn(SourceLoc Loc, const std::string &Message,
     auto Payload = std::make_shared<prov::DiagProvenance>();
     prov::WitnessPath W;
     W.Steps = State->Trail;
-    const Term *Cond = WitnessCond ? WitnessCond : State->Path;
+    const Term *Cond = WitnessCond ? WitnessCond : pathTerm(*State);
     // Renumber variables in first-occurrence order: the raw arena indices
     // depend on how many fresh terms this worker had already allocated,
     // which varies with the parallel schedule, and the rendered condition
@@ -289,7 +287,7 @@ void CSymExecutor::dispatchCall(const CCall *Call, const CFuncDecl *Callee,
         continue;
       ++Statistics.NullChecks;
       const Term *NullG = Args[I].nullGuard(Terms);
-      const Term *NullPath = Terms.andTerm(State.Path, NullG);
+      const Term *NullPath = Terms.andTerm(pathTerm(State), NullG);
       if (feasibleWith(State, NullG))
         warn(Call->loc(),
              "possibly-null argument passed to nonnull "
@@ -386,7 +384,6 @@ CSymExecutor::runFunction(const CFuncDecl *F,
 
   CSymResult Result;
   CSymState State;
-  State.Path = Terms.trueTerm();
 
   // Seed pointer-typed globals from the typed calling context.
   for (const auto &[Name, Seed] : GlobalSeeds) {
@@ -432,7 +429,7 @@ CSymExecutor::runFunction(const CFuncDecl *F,
 
   for (CSymState &S : runBody(F, std::move(State), 0)) {
     CSymResult::PathOut P;
-    P.Path = S.Path;
+    P.Path = pathTerm(S);
     P.Returned = S.Returned;
     if (S.Returned)
       P.Ret = std::move(S.RetValue);

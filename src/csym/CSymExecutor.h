@@ -31,7 +31,7 @@
 
 #include "csym/CSymValue.h"
 #include "provenance/Provenance.h"
-#include "solver/PathSolver.h"
+#include "solver/AssertionStack.h"
 #include "support/Diagnostics.h"
 
 #include <optional>
@@ -46,13 +46,10 @@ class CSymExecutor;
 /// One execution path's mutable state. Locals live here (not in a shared
 /// frame) because declarations inside branches allocate per path.
 struct CSymState {
-  const smt::Term *Path = nullptr;
-  /// The same condition as \ref Path, kept as a chain of branch deltas so
-  /// the executor's PathSolver can sync its assertion stack by diffing
-  /// against a sibling path instead of re-solving from scratch. Invariant:
-  /// PC.folded(Terms) == Path whenever Path was only ever extended through
-  /// the executor's own branch sites (PathSolver falls back to a direct
-  /// query if a hook breaks this).
+  /// The path condition, as a chain of branch deltas so the executor's
+  /// assertion stack can sync to it by diffing against a sibling path
+  /// instead of re-solving from scratch. PC.folded(Terms) is the path
+  /// condition as one term.
   smt::PathCondition PC;
   CStore Store;
   std::map<std::string, LocId> Locals;
@@ -108,12 +105,6 @@ struct CSymOptions {
   bool CheckNonnullArguments = true;
   /// Warn on dereferences whose null case is feasible.
   bool CheckDereferences = true;
-  /// Route feasibility checks through an incremental AssertionStack that
-  /// pushes/pops branch deltas between sibling paths (the tentpole's
-  /// per-path stacks). Off = every check is a from-scratch checkSat; the
-  /// verdicts and diagnostics are identical either way.
-  bool IncrementalSolver = true;
-
   /// Provenance recording (see src/provenance/). When attached, states
   /// carry branch trails and every warning emitted with a state in hand
   /// gets a witness path (trail, feasible null path condition, and a
@@ -283,17 +274,20 @@ public:
   /// Coerces a value to an int-sorted scalar term.
   const smt::Term *intTerm(const CSymValue &V);
 
-  /// Is the state's path condition satisfiable? Uses the incremental
-  /// stack when enabled (state chains share prefixes with siblings).
+  /// Is the state's path condition satisfiable? Asked through the
+  /// executor's assertion stack (state chains share prefixes with
+  /// siblings).
   bool feasible(const CSymState &State);
   /// Is Path ∧ Extra satisfiable? \p Extra is a probe (a null guard, a
   /// branch condition being tested) asserted in a temporary frame, so the
   /// synced path prefix is reused across probes on the same state.
   bool feasibleWith(const CSymState &State, const smt::Term *Extra);
-  /// Conjoins \p Cond onto both representations of the state's path
-  /// condition, keeping the Path/PC invariant.
+  /// The state's path condition as one term.
+  const smt::Term *pathTerm(const CSymState &State) {
+    return State.PC.folded(Terms);
+  }
+  /// Conjoins \p Cond onto the state's path condition.
   void extendPath(CSymState &State, const smt::Term *Cond) {
-    State.Path = Terms.andTerm(State.Path, Cond);
     State.PC = State.PC.extend(Terms, Cond);
   }
 
@@ -338,7 +332,7 @@ private:
   DiagnosticEngine &Diags;
   smt::TermArena &Terms;
   smt::ISolver &Solver;
-  smt::PathSolver PathChecker;
+  std::unique_ptr<smt::AssertionStack> Stack;
   CSymOptions Opts;
   TypedCallHook *Hook = nullptr;
   CBodyEngine *Engine = nullptr;

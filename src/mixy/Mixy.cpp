@@ -86,8 +86,6 @@ uint64_t mix::c::mixyPersistFingerprint(const MixyOptions &Opts) {
   H.boolean(Opts.Prov != nullptr);
   // Backend choice changes the DecidedBy provenance persisted inside
   // block summaries (verdicts themselves are backend-independent).
-  // Sym.IncrementalSolver is deliberately excluded: it only changes how
-  // queries are batched, never a verdict or a diagnostic.
   H.str(Opts.Solver.Backend);
   return H.digest();
 }
@@ -1021,7 +1019,7 @@ bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
   // only the calling executor's own state — no lock needed yet.
   for (size_t I = 0; I != Callee->params().size(); ++I) {
     bool MayNull = I < Args.size() && Args[I].isPtr() &&
-                   Exec2.mayBeNull(State.Path, Args[I]);
+                   Exec2.mayBeNull(Exec2.pathTerm(State), Args[I]);
     Key.Params.push_back(MayNull ? NullSeed::MayBeNull : NullSeed::Nonnull);
   }
   for (const CGlobalDecl *G : Program.Globals) {
@@ -1030,7 +1028,7 @@ bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
     auto Cell = State.Store.get({Exec2.globalLoc(G->name()), ""});
     if (!Cell || !Cell->isPtr())
       continue;
-    Key.Globals[G->name()] = Exec2.mayBeNull(State.Path, *Cell)
+    Key.Globals[G->name()] = Exec2.mayBeNull(Exec2.pathTerm(State), *Cell)
                                  ? NullSeed::MayBeNull
                                  : NullSeed::Nonnull;
   }

@@ -47,7 +47,15 @@ void projectModel(const Term *T, SmtModel &Model) {
 
 } // namespace
 
-AssertionStack::AssertionStack(ISolver &Backend) : Backend(Backend) {}
+AssertionStack::AssertionStack(ISolver &Backend) : Backend(Backend) {
+  if (obs::MetricsRegistry *Metrics = Backend.options().Metrics) {
+    CPush = Metrics->counter("solver.inc.push");
+    CPop = Metrics->counter("solver.inc.pop");
+    CCached = Metrics->counter("solver.inc.cached");
+    CModelReuse = Metrics->counter("solver.inc.model_reuse");
+    CQueries = Metrics->counter("solver.inc.queries");
+  }
+}
 
 AssertionStack::~AssertionStack() = default;
 
@@ -106,19 +114,10 @@ SolveResult AssertionStack::checkSat(SmtModel *ModelOut) {
   // Constant fold: the arena already decided the formula.
   if (Fold->kind() == TermKind::BoolConst) {
     ++Statistics.CachedVerdicts;
+    CCached.inc();
     if (ModelOut)
       *ModelOut = SmtModel();
     return Fold->value() ? SolveResult::Sat : SolveResult::Unsat;
-  }
-
-  // Unsat-prefix cut: the conjunction only grows, so any extension of a
-  // known-Unsat prefix is Unsat. Valid while the prefix is still live
-  // (fold pointers are identity, so a pop/re-assert that rebuilt a
-  // different prefix fails the check).
-  if (Unsat.Fold && Unsat.Len <= Assertions.size() &&
-      Unsat.Len >= 1 && Folded[Unsat.Len - 1] == Unsat.Fold) {
-    ++Statistics.UnsatPrefixCuts;
-    return SolveResult::Unsat;
   }
 
   // Verdict cache: unchanged formula, unchanged answer. A Sat hit can
@@ -135,6 +134,7 @@ SolveResult AssertionStack::checkSat(SmtModel *ModelOut) {
         }
     if (!NeedModel || Have) {
       ++Statistics.CachedVerdicts;
+      CCached.inc();
       if (Have)
         *ModelOut = *Have->Model;
       return LastVerdict.R;
@@ -159,10 +159,13 @@ SolveResult AssertionStack::checkSat(SmtModel *ModelOut) {
       }
     if (!AllHold)
       continue;
-    if (MC.Len == Assertions.size())
+    if (MC.Len == Assertions.size()) {
       ++Statistics.CachedVerdicts;
-    else
+      CCached.inc();
+    } else {
       ++Statistics.ModelReuses;
+      CModelReuse.inc();
+    }
     MC.Len = Assertions.size();
     MC.Fold = Fold;
     LastVerdict = {Fold, SolveResult::Sat};
@@ -175,6 +178,7 @@ SolveResult AssertionStack::checkSat(SmtModel *ModelOut) {
   // Real backend decision.
   auto Captured = std::make_shared<SmtModel>();
   ++Statistics.Queries;
+  CQueries.inc();
   SolveResult R = solveCurrent(Captured.get());
   if (R == SolveResult::Sat) {
     projectModel(Fold, *Captured);
@@ -187,7 +191,42 @@ SolveResult AssertionStack::checkSat(SmtModel *ModelOut) {
       *ModelOut = *Captured;
   } else if (R == SolveResult::Unsat) {
     LastVerdict = {Fold, SolveResult::Unsat};
-    Unsat = {Assertions.size(), Fold};
   }
+  return R;
+}
+
+SolveResult AssertionStack::checkPath(const PathCondition &PC,
+                                      const Term *Extra) {
+  assert(Frames.size() == Assertions.size() &&
+         "checkPath() needs one assertion per frame");
+  // The target chain, outermost first.
+  std::vector<const PathCondition::Node *> Target(PC.length());
+  const PathCondition::Node *N = PC.Tail.get();
+  for (size_t I = Target.size(); I-- > 0; N = N->Parent.get())
+    Target[I] = N;
+
+  // Longest common prefix. Folded terms are hash-consed: pointer-equal
+  // folds mean the same conjunction, so two independently-built chains
+  // that agree on a prefix diff as cheaply as literal siblings.
+  size_t Common = 0;
+  while (Common < Folded.size() && Common < Target.size() &&
+         Folded[Common] == Target[Common]->Folded)
+    ++Common;
+  while (Assertions.size() > Common) {
+    pop();
+    CPop.inc();
+  }
+  for (size_t I = Common; I != Target.size(); ++I) {
+    push();
+    assertTerm(Target[I]->Delta);
+    CPush.inc();
+  }
+
+  if (!Extra)
+    return checkSat();
+  push();
+  assertTerm(Extra);
+  SolveResult R = checkSat();
+  pop();
   return R;
 }

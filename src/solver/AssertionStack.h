@@ -7,10 +7,17 @@
 ///
 /// \file
 /// Incremental solving semantics for every backend: an SMT-LIB-style
-/// push/pop/assert/check-sat stack opened over an ISolver. Path
-/// exploration holds one of these and pushes branch deltas instead of
-/// re-solving whole path conditions — the "single biggest raw-speed
-/// lever" the ROADMAP names.
+/// push/pop/assert/check-sat stack opened over an ISolver, plus the entry
+/// point path exploration uses, checkPath(), which syncs the stack to a
+/// PathCondition chain by itself.
+///
+/// Executors fork states freely, so they cannot each own a physical
+/// stack. Every state instead carries a PathCondition (an immutable,
+/// cheaply-copyable chain of branch deltas), and the executor owns ONE
+/// stack. checkPath() pops to the longest common prefix of the stack's
+/// own folds and the chain's folds, then pushes the chain's remaining
+/// deltas, one frame each. Sibling paths share their prefix, so the common
+/// case at a fork is one pop and one push.
 ///
 /// The base class is both the generic emulation (usable over any
 /// backend) and the caching layer that produces most of the query
@@ -19,19 +26,20 @@
 /// - **Verdict cache**: the asserted conjunction is folded in the
 ///   backend's hash-consed arena, so formula identity is pointer
 ///   identity; re-checking an unchanged stack is free.
-/// - **Unsat-prefix cut**: a conjunction only grows down a path, so once
-///   some prefix is Unsat every extension is Unsat — answered with zero
-///   backend queries.
 /// - **Model reuse**: a satisfying model cached for a prefix is
 ///   evaluated against the new deltas (TermEval); if they all hold, the
 ///   extension is Sat without a query (the KLEE counterexample-cache
 ///   trick).
 ///
-/// Answers produced by these three shortcuts never touch the backend and
-/// therefore never count as solver queries — that is exactly the drop
-/// the incremental-mode regression tests measure. Backends with native
+/// Answers produced by these shortcuts never touch the backend and
+/// therefore never count as solver queries. Backends with native
 /// incremental state override solveCurrent()/onAssert()/onPush()/onPop()
 /// (see smtlite's per-frame clause tagging in SmtSolver.cpp).
+///
+/// With a metrics registry in the backend's options, the stack books
+/// "solver.inc.push"/"solver.inc.pop" (checkPath() syncs),
+/// "solver.inc.cached" and "solver.inc.model_reuse" (shortcut answers)
+/// and "solver.inc.queries" (backend decisions).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +52,51 @@
 #include <vector>
 
 namespace mix::smt {
+
+/// An immutable path condition: a persistent cons-list of branch deltas.
+/// Copying is one shared_ptr copy; extension allocates one node. The
+/// empty condition denotes true.
+class PathCondition {
+public:
+  PathCondition() = default;
+
+  /// This condition with \p Delta conjoined. Returns *this unchanged when
+  /// the conjunction simplifies to the current fold (e.g. a true or
+  /// duplicate guard).
+  PathCondition extend(TermArena &Arena, const Term *Delta) const {
+    const Term *Prev = folded(Arena);
+    const Term *Next = Arena.andTerm(Prev, Delta);
+    if (Next == Prev)
+      return *this;
+    auto N = std::make_shared<Node>();
+    N->Parent = Tail;
+    N->Delta = Delta;
+    N->Folded = Next;
+    N->Len = length() + 1;
+    PathCondition Out;
+    Out.Tail = std::move(N);
+    return Out;
+  }
+
+  /// The folded conjunction (true when empty): the path condition as one
+  /// term. Hash-consing makes it pointer-equal to the same sequence of
+  /// andTerm() calls applied to trueTerm.
+  const Term *folded(TermArena &Arena) const {
+    return Tail ? Tail->Folded : Arena.trueTerm();
+  }
+
+  size_t length() const { return Tail ? Tail->Len : 0; }
+
+private:
+  friend class AssertionStack;
+  struct Node {
+    std::shared_ptr<const Node> Parent;
+    const Term *Delta = nullptr;
+    const Term *Folded = nullptr;
+    size_t Len = 0;
+  };
+  std::shared_ptr<const Node> Tail;
+};
 
 /// An incremental assertion stack over one backend. Not thread-safe; one
 /// stack per exploration worker.
@@ -72,6 +125,14 @@ public:
   /// contract.
   SolveResult checkSat(SmtModel *ModelOut = nullptr);
 
+  /// Satisfiability of \p PC, with \p Extra conjoined when non-null (a
+  /// probe like a may-be-null guard that does not extend the path). Syncs
+  /// the stack to \p PC first; \p Extra goes into a temporary frame, so
+  /// the synced prefix and its cached models are reused across probes.
+  /// Requires every live assertion to sit in its own frame, which is the
+  /// shape checkPath() itself leaves behind.
+  SolveResult checkPath(const PathCondition &PC, const Term *Extra = nullptr);
+
   /// Number of open frames.
   unsigned depth() const { return (unsigned)Frames.size(); }
 
@@ -81,18 +142,16 @@ public:
   /// The folded conjunction of all live assertions (true when empty),
   /// built in the backend's arena. Because terms are hash-consed and the
   /// fold is maintained left-associatively, this is pointer-equal to a
-  /// path-condition term built by the same sequence of andTerm() calls —
-  /// the drift guard PathSolver relies on.
+  /// PathCondition fold built by the same sequence of deltas.
   const Term *conjunction() const;
 
   ISolver &backend() { return Backend; }
 
   /// Cumulative shortcut/query statistics for this stack.
   struct Stats {
-    uint64_t Queries = 0;         ///< checkSat calls that hit the backend
-    uint64_t CachedVerdicts = 0;  ///< answered by the verdict cache
-    uint64_t ModelReuses = 0;     ///< answered by re-evaluating a model
-    uint64_t UnsatPrefixCuts = 0; ///< answered by the unsat-prefix cut
+    uint64_t Queries = 0;        ///< checkSat calls that hit the backend
+    uint64_t CachedVerdicts = 0; ///< answered by the verdict cache
+    uint64_t ModelReuses = 0;    ///< answered by re-evaluating a model
   };
   const Stats &stats() const { return Statistics; }
 
@@ -116,6 +175,8 @@ private:
   std::vector<size_t> Frames; ///< start index of each open frame
   std::vector<const Term *> Assertions;
   /// Folded[i] = conjunction of Assertions[0..i]; truncated with pops.
+  /// checkPath() diffs a chain against it: fold-pointer identity is the
+  /// prefix key.
   std::vector<const Term *> Folded;
 
   // Shortcut caches. Folded terms are hash-consed, so two assertion
@@ -139,12 +200,9 @@ private:
   /// is usually the complement of the delta being probed.
   std::vector<ModelCache> Models;
   static constexpr size_t MaxCachedModels = 64;
-  struct UnsatPrefix {
-    size_t Len = 0;
-    const Term *Fold = nullptr; ///< fold of the unsat prefix (null = none)
-  } Unsat;
 
   Stats Statistics;
+  obs::Counter CPush, CPop, CCached, CModelReuse, CQueries;
 };
 
 } // namespace mix::smt

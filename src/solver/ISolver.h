@@ -20,9 +20,10 @@
 ///
 /// Incrementality is exposed through \ref AssertionStack (see
 /// AssertionStack.h): openStack() returns a push/pop assertion stack over
-/// this backend so path exploration can assert branch deltas instead of
-/// re-solving whole path conditions. Backends without native incremental
-/// state inherit a generic emulation.
+/// this backend, which path exploration syncs to each path's chain of
+/// branch deltas (AssertionStack::checkPath) instead of re-solving whole
+/// path conditions. Backends without native incremental state inherit a
+/// generic emulation.
 ///
 //===----------------------------------------------------------------------===//
 

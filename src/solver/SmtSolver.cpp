@@ -169,7 +169,7 @@ namespace mix::smt {
 /// disequality-split cap and turn a verdict into Unknown). So all SAT
 /// state lives in an Epoch, and a pop() that leaves no live frame
 /// discards it for a fresh one into which the base-level assertions, if
-/// any, are replayed. PathSolver pops to the common prefix, so each new
+/// any, are replayed. checkPath() pops to the common prefix, so each new
 /// function or block exploration starts small instead of inheriting the
 /// whole session. The base class's caches are keyed by terms, not SAT
 /// variables, and survive the switch.

@@ -11,9 +11,9 @@
 /// Evaluation is total: variables the model does not bind take the
 /// canonical default (0 / false), matching the SmtModel contract that
 /// unmentioned variables are unconstrained. This is the foundation of
-/// three features: model validation in the differential-testing harness,
-/// model reuse in AssertionStack (evaluate new branch deltas under a
-/// cached ancestor model instead of re-solving), and the brute-force
+/// three features: AssertionStack's model pool (evaluate new branch
+/// deltas under a cached ancestor model instead of re-solving), model
+/// validation in the differential-testing harness, and its brute-force
 /// enumerator oracle.
 ///
 //===----------------------------------------------------------------------===//

@@ -503,20 +503,16 @@ constexpr const char *DeepBranchProgram =
     "  return s;\n"
     "}";
 
-/// Runs DeepBranchProgram with the given incremental-solver setting on a
-/// fresh arena/solver and reports the backend query count plus the
-/// rendered diagnostics.
-void runDeepBranch(bool Incremental, uint64_t &Queries, std::string &Diag,
-                   unsigned &Warnings) {
+/// Runs DeepBranchProgram on a fresh arena/solver and reports the backend
+/// query count plus the rendered diagnostics.
+void runDeepBranch(uint64_t &Queries, std::string &Diag, unsigned &Warnings) {
   CAstContext Ctx;
   DiagnosticEngine Diags;
   mix::smt::TermArena Terms;
   mix::smt::SmtSolver Solver{Terms};
   const CProgram *P = parseC(DeepBranchProgram, Ctx, Diags);
   ASSERT_NE(P, nullptr) << Diags.str();
-  CSymOptions Opts;
-  Opts.IncrementalSolver = Incremental;
-  CSymExecutor Exec(*P, Ctx, Diags, Terms, Solver, Opts);
+  CSymExecutor Exec(*P, Ctx, Diags, Terms, Solver);
   auto Engine = mix::concolic::makeCBodyEngine(Exec, nullptr, nullptr);
   CSymResult R = Exec.runFunction(P->findFunc("f"));
   Queries = Solver.queries();
@@ -526,24 +522,18 @@ void runDeepBranch(bool Incremental, uint64_t &Queries, std::string &Diag,
 
 } // namespace
 
-TEST(CSymIncrementalTest, FewerQueriesAndIdenticalDiagnostics) {
-  uint64_t ScratchQueries = 0, IncQueries = 0;
-  std::string ScratchDiag, IncDiag;
-  unsigned ScratchWarnings = 0, IncWarnings = 0;
-  runDeepBranch(false, ScratchQueries, ScratchDiag, ScratchWarnings);
-  runDeepBranch(true, IncQueries, IncDiag, IncWarnings);
+TEST(CSymIncrementalTest, DeepBranchDiagnosticAndQueryCount) {
+  uint64_t Queries = 0;
+  std::string Diag;
+  unsigned Warnings = 0;
+  runDeepBranch(Queries, Diag, Warnings);
 
-  // The warning (the *p on the all-positive path) and its rendering must
-  // be byte-identical: incremental solving is a query-batching strategy,
-  // never a verdict change.
-  EXPECT_EQ(ScratchWarnings, 1u);
-  EXPECT_EQ(IncWarnings, ScratchWarnings);
-  EXPECT_EQ(IncDiag, ScratchDiag);
+  // The one warning: the *p on the all-positive path.
+  EXPECT_EQ(Warnings, 1u);
+  EXPECT_EQ(Diag, "8:24: warning: possible null dereference\n");
 
-  // The point of the assertion stack: prefix sharing, model reuse, and
-  // the unsat-prefix cut must cut the number of queries that actually
-  // reach the backend on a deep branch ladder.
-  EXPECT_GT(ScratchQueries, 0u);
-  EXPECT_LT(IncQueries, ScratchQueries)
-      << "incremental mode issued as many backend queries as from-scratch";
+  // Prefix sharing and model reuse in the executor's assertion stack keep
+  // the ladder at 33 backend decisions (a from-scratch checkSat per probe
+  // took 96). A change here means the stack stopped syncing or caching.
+  EXPECT_EQ(Queries, 33u);
 }

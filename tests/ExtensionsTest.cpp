@@ -11,6 +11,7 @@
 
 #include "lang/Parser.h"
 #include "mix/MixChecker.h"
+#include "solver/SmtSolver.h"
 #include "symexec/Effects.h"
 #include "symexec/SymExecutor.h"
 
@@ -200,6 +201,37 @@ protected:
     return T ? T->str() : "<error>";
   }
 
+  /// Runs \p Source on the core executor alone, with a solver attached,
+  /// over the bool refs p and q and the int y from the calling context,
+  /// and returns the error messages of its paths. Unlike check(), nothing
+  /// filters infeasible paths out afterwards, so this observes the
+  /// solver's answer in derefMemoryOk on every path.
+  std::vector<std::string> pathErrors(std::string_view Source, bool Precise) {
+    Diags.clear();
+    const Expr *E = parseExpression(Source, Ctx, Diags);
+    EXPECT_NE(E, nullptr) << Diags.str();
+    if (!E)
+      return {"<parse-error>"};
+    SymArena Syms(Ctx.types());
+    smt::TermArena Terms;
+    smt::SmtSolver Solver(Terms);
+    SymToSmt Translator(Syms, Terms);
+    SymExecOptions Opts;
+    Opts.PreciseDeref = Precise;
+    SymExecutor Exec(Syms, Diags, Opts);
+    Exec.setSolver(&Solver, &Translator);
+    const Type *BoolRef = Ctx.types().refType(Ctx.types().boolType());
+    SymEnv Env;
+    Env["p"] = Syms.freshVar(BoolRef, false, "p");
+    Env["q"] = Syms.freshVar(BoolRef, false, "q");
+    Env["y"] = Syms.freshVar(Ctx.types().intType(), false, "y");
+    std::vector<std::string> Errors;
+    for (const PathResult &P : Exec.run(E, Env).Paths)
+      if (P.IsError)
+        Errors.push_back(P.ErrorMessage);
+    return Errors;
+  }
+
   AstContext Ctx;
   DiagnosticEngine Diags;
 };
@@ -242,6 +274,28 @@ TEST_F(PreciseDerefTest, UnknownPointerStillRejected) {
   const char *P2 = "{s (p := 1; !q) s}";
   EXPECT_EQ(check(P2, false, Gamma2), "<error>");
   EXPECT_EQ(check(P2, true, Gamma2), "<error>");
+}
+
+TEST_F(PreciseDerefTest, PathConditionProvesUnknownAddressesDistinct) {
+  // p and q are unknown addresses, so neither syntax nor allocation
+  // freshness separates them: only the solver can excuse reading q past
+  // the ill-typed write at p. Under 0 < y and y < 0 the path condition is
+  // unsatisfiable, so p = q is too, and the read is accepted.
+  const char *P =
+      "if 0 < y then (if y < 0 then (p := 1; !q) else true) else true";
+  EXPECT_EQ(pathErrors(P, /*Precise=*/true), std::vector<std::string>{});
+  // Without the refinement the same read fails |- m ok.
+  EXPECT_EQ(pathErrors(P, /*Precise=*/false).size(), 1u);
+}
+
+TEST_F(PreciseDerefTest, SatisfiablePathLeavesUnknownAddressesAliased) {
+  // The mirror image: under 0 < y and y < 5 the path condition allows
+  // p = q, so the solver answers Sat and the read is rejected.
+  const char *P =
+      "if 0 < y then (if y < 5 then (p := 1; !q) else true) else true";
+  std::vector<std::string> Errors = pathErrors(P, /*Precise=*/true);
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_NE(Errors[0].find("|- m ok fails"), std::string::npos) << Errors[0];
 }
 
 TEST_F(PreciseDerefTest, OverwriteStillClearsWithoutPreciseMode) {

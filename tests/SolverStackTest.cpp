@@ -4,11 +4,12 @@
 // Execution" (PLDI 2010).
 //
 // The incremental assertion stack is the load-bearing abstraction behind
-// path exploration (PathSolver pushes branch deltas instead of
-// re-solving whole path conditions), so it gets direct coverage here:
-// frame semantics (nested push/pop, pop-to-empty, re-assert after pop),
-// verdict correctness against from-scratch solving, and the query-saving
-// shortcut caches. Every test runs against every registered backend —
+// path exploration (checkPath() syncs it to a path's chain of branch
+// deltas instead of re-solving whole path conditions), so it gets direct
+// coverage here: frame semantics (nested push/pop, pop-to-empty,
+// re-assert after pop), the chain sync, verdict correctness against
+// from-scratch solving, and the query-saving shortcut caches. Every test
+// runs against every registered backend —
 // smtlite exercises the native activation-literal stack, dnf the generic
 // emulation — so the two implementations cannot drift apart.
 //
@@ -88,8 +89,8 @@ TEST(SolverStackTest, PopToEmptyRestoresTrue) {
 
 TEST(SolverStackTest, ReAssertAfterPopIsSound) {
   // A formula asserted, popped, and re-asserted must get the same
-  // verdict both times — the verdict/unsat caches key on the hash-consed
-  // fold, so a stale entry would surface exactly here.
+  // verdict both times — the verdict cache and the model pool key on the
+  // hash-consed fold, so a stale entry would surface exactly here.
   forEachBackend([](TermArena &A, ISolver &, AssertionStack &St) {
     const Term *X = A.freshIntVar("x");
     const Term *Contradiction =
@@ -123,7 +124,8 @@ TEST(SolverStackTest, BaseLevelAssertionsSurvivePops) {
 
 TEST(SolverStackTest, InterleavedSatUnsatFlips) {
   // Alternate between compatible and contradicting deltas across frame
-  // boundaries; the Unsat-prefix cut must be invalidated by each pop.
+  // boundaries; no cached Unsat verdict may outlive the pop that
+  // retracted its contradiction.
   forEachBackend([](TermArena &A, ISolver &, AssertionStack &St) {
     const Term *P = A.freshBoolVar("p");
     const Term *Q = A.freshBoolVar("q");
@@ -143,24 +145,6 @@ TEST(SolverStackTest, InterleavedSatUnsatFlips) {
     St.push();
     St.assertTerm(Q);
     EXPECT_EQ(St.checkSat(), SolveResult::Sat);
-  });
-}
-
-TEST(SolverStackTest, UnsatPrefixCutAnswersWithoutQueries) {
-  forEachBackend([](TermArena &A, ISolver &, AssertionStack &St) {
-    const Term *P = A.freshBoolVar("p");
-    St.push();
-    St.assertTerm(A.andTerm(P, A.notTerm(P)));
-    EXPECT_EQ(St.checkSat(), SolveResult::Unsat);
-    uint64_t QueriesAfterPrefix = St.stats().Queries;
-    for (int I = 0; I != 5; ++I) {
-      St.push();
-      St.assertTerm(A.freshBoolVar());
-      EXPECT_EQ(St.checkSat(), SolveResult::Unsat);
-    }
-    EXPECT_EQ(St.stats().Queries, QueriesAfterPrefix)
-        << "extensions of an unsat prefix must not reach the backend";
-    EXPECT_GE(St.stats().UnsatPrefixCuts, 5u);
   });
 }
 
@@ -311,6 +295,79 @@ TEST(SolverStackTest, RandomBranchSequencesMatchFromScratch) {
             << " vs from-scratch " << solveResultName(Slow);
       }
     }
+  }
+}
+
+TEST(SolverStackTest, CheckPathMatchesFromScratch) {
+  // 300 random walks per backend over PathCondition chains: each step
+  // backtracks to a chain visited earlier in the walk, extends it by 0-3
+  // random deltas, and sometimes adds an Extra probe. Every checkPath
+  // verdict must equal a from-scratch checkSat(fold ∧ Extra) on an
+  // independent solver instance, the stack must be left synced to the
+  // chain, and switching to a sibling (the same parent chain, a different
+  // last delta) must cost exactly one pop and one push.
+  const unsigned BaseSeed = 0x5eed8001;
+  for (const std::string &Name : registeredBackends()) {
+    SCOPED_TRACE("backend: " + Name);
+    TermArena A;
+    VarPool V(A);
+    mix::obs::MetricsRegistry Reg;
+    SmtOptions Opts;
+    Opts.Metrics = &Reg;
+    std::unique_ptr<ISolver> Inc = createBackend(Name, A, Opts);
+    std::unique_ptr<ISolver> Scratch = createBackend(Name, A, SmtOptions());
+    ASSERT_TRUE(Inc && Scratch);
+    std::unique_ptr<AssertionStack> St = Inc->openStack();
+    auto Check = [&](const PathCondition &PC, const Term *Extra,
+                     const std::string &Where) {
+      const Term *Fold = PC.folded(A);
+      SolveResult Fast = St->checkPath(PC, Extra);
+      SolveResult Slow =
+          Scratch->checkSat(Extra ? A.andTerm(Fold, Extra) : Fold);
+      ASSERT_EQ(Fast, Slow) << Where << ": checkPath "
+                            << solveResultName(Fast) << " vs from-scratch "
+                            << solveResultName(Slow);
+      ASSERT_EQ(St->conjunction(), Fold) << Where << ": stack not synced";
+      ASSERT_EQ(St->depth(), PC.length()) << Where;
+    };
+    unsigned SiblingSwitches = 0;
+    for (unsigned Seq = 0; Seq != 300; ++Seq) {
+      std::mt19937 Rng(BaseSeed + Seq);
+      std::vector<PathCondition> Visited{PathCondition()};
+      unsigned Steps = 2 + Rng() % 10;
+      for (unsigned Step = 0; Step != Steps; ++Step) {
+        std::string Where =
+            "seq " + std::to_string(Seq) + " step " + std::to_string(Step);
+        PathCondition Parent = Visited[Rng() % Visited.size()];
+        for (unsigned D = Rng() % 3; D != 0; --D)
+          Parent = Parent.extend(A, randomBranch(A, V, Rng));
+        PathCondition PC = Parent.extend(A, randomBranch(A, V, Rng));
+        const Term *Extra = Rng() % 3 == 0 ? randomBranch(A, V, Rng) : nullptr;
+        Check(PC, Extra, Where);
+        if (HasFatalFailure())
+          return;
+        Visited.push_back(PC);
+
+        PathCondition Sibling = Parent.extend(A, randomBranch(A, V, Rng));
+        if (PC.length() != Parent.length() + 1 ||
+            Sibling.length() != PC.length() ||
+            Sibling.folded(A) == PC.folded(A))
+          continue;
+        uint64_t Pops = Reg.counterValue("solver.inc.pop");
+        uint64_t Pushes = Reg.counterValue("solver.inc.push");
+        Check(Sibling, Rng() % 3 == 0 ? randomBranch(A, V, Rng) : nullptr,
+              Where + " sibling");
+        if (HasFatalFailure())
+          return;
+        ASSERT_EQ(Reg.counterValue("solver.inc.pop"), Pops + 1) << Where;
+        ASSERT_EQ(Reg.counterValue("solver.inc.push"), Pushes + 1) << Where;
+        ++SiblingSwitches;
+        Visited.push_back(Sibling);
+      }
+    }
+    // Generator health: the sibling property was actually exercised.
+    EXPECT_GT(SiblingSwitches, 300u);
+    EXPECT_EQ(Reg.counterValue("solver.inc.queries"), St->stats().Queries);
   }
 }
 
