@@ -51,10 +51,9 @@ std::string fixpointChain(unsigned N) {
 
 /// A depth-D def-use chain: step_i copies x_{i-1} into x_i, and main
 /// calls the steps deepest-first, so the taint planted by source() must
-/// travel the whole chain before sink()'s error becomes visible. Plain
-/// Jacobi rounds would re-run all D+2 sites while the taint advances one
-/// link per round (O(D^2) block runs); the dependency-aware worklist
-/// re-runs only the link whose input actually changed.
+/// travel the whole chain before sink()'s error becomes visible: the
+/// taint advances one link per fixpoint round, so the rounds and block
+/// runs grow with D.
 std::string deepCallChain(unsigned Depth) {
   std::string Out = "void sysutil_free(void * nonnull p_ptr) MIX(typed);\n";
   for (unsigned I = 0; I <= Depth; ++I)
@@ -75,9 +74,9 @@ std::string deepCallChain(unsigned Depth) {
   return Out;
 }
 
-/// Runs \p Source through the parallel (worklist) fixpoint and reports
-/// its block-run and iteration counters.
-void runSchedule(benchmark::State &State, const std::string &Source,
+/// Runs \p Source through the fixpoint and reports its block-run and
+/// iteration counters.
+void runFixpoint(benchmark::State &State, const std::string &Source,
                  unsigned MaxRounds = 0) {
   unsigned Warnings = 0, Iterations = 0, Reruns = 0;
   for (auto _ : State) {
@@ -85,7 +84,6 @@ void runSchedule(benchmark::State &State, const std::string &Source,
     DiagnosticEngine Diags;
     const CProgram *P = parseC(Source, Ctx, Diags);
     MixyOptions Opts;
-    Opts.Jobs = 4;
     if (MaxRounds)
       Opts.MaxFixpointIterations = MaxRounds;
     MixyAnalysis Analysis(*P, Ctx, Diags, Opts);
@@ -98,38 +96,18 @@ void runSchedule(benchmark::State &State, const std::string &Source,
   State.counters["block_runs"] = Reruns;
 }
 
-/// The parallel schedule on the original E6 chain: late taints, but no
-/// cross-block dependencies.
-void BM_FixpointSchedule(benchmark::State &State) {
-  runSchedule(State, fixpointChain((unsigned)State.range(0)));
-}
-
-/// The parallel schedule on the deep call chain, where dependency-aware
-/// scheduling pays off. The rounds budget scales with depth so that even
-/// round-per-link propagation would finish: a scheduling regression shows
-/// up in block_runs and fixpoint_iters, not as a truncated run.
-void BM_DeepChainSchedule(benchmark::State &State) {
-  unsigned Depth = (unsigned)State.range(0);
-  runSchedule(State, deepCallChain(Depth), 2 * Depth + 8);
-}
-
+/// The E6 chain: every use-block's error must be found despite the late
+/// constraints.
 void BM_Fixpoint(benchmark::State &State) {
-  unsigned N = (unsigned)State.range(0);
-  std::string Source = fixpointChain(N);
-  unsigned Warnings = 0, Iterations = 0, Reruns = 0;
-  for (auto _ : State) {
-    CAstContext Ctx;
-    DiagnosticEngine Diags;
-    const CProgram *P = parseC(Source, Ctx, Diags);
-    MixyAnalysis Analysis(*P, Ctx, Diags);
-    Warnings = Analysis.run(MixyAnalysis::StartMode::Typed);
-    Iterations = Analysis.stats().FixpointIterations;
-    Reruns = Analysis.stats().SymbolicBlockRuns;
-  }
-  // Every use-block's error must be found despite the late constraints.
-  State.counters["warnings"] = Warnings;
-  State.counters["fixpoint_iters"] = Iterations;
-  State.counters["block_runs"] = Reruns;
+  runFixpoint(State, fixpointChain((unsigned)State.range(0)));
+}
+
+/// The deep call chain. The rounds budget scales with depth so that
+/// round-per-link propagation finishes: a regression shows up in
+/// block_runs and fixpoint_iters, not as a truncated run.
+void BM_DeepChain(benchmark::State &State) {
+  unsigned Depth = (unsigned)State.range(0);
+  runFixpoint(State, deepCallChain(Depth), 2 * Depth + 8);
 }
 
 } // namespace
@@ -142,13 +120,7 @@ BENCHMARK(BM_Fixpoint)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
-BENCHMARK(BM_FixpointSchedule)
-    ->ArgName("n")
-    ->Arg(4)
-    ->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_DeepChainSchedule)
+BENCHMARK(BM_DeepChain)
     ->ArgName("depth")
     ->Arg(8)
     ->Arg(16)

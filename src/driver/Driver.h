@@ -31,7 +31,7 @@
 ///    JSON document, so machine consumers can pipe it straight into a
 ///    JSON parser; human-oriented extras (--stats) move to stderr.
 ///    Machine formats emit diagnostics sorted by (location, id) so the
-///    document is byte-identical across --jobs.
+///    document does not depend on emission order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -137,14 +137,6 @@ private:
   bool Explain = false;
   OutputFormat Format = OutputFormat::Text;
 };
-
-/// Registers the flags every tool shares in one place, so the CLIs
-/// cannot drift apart: the --jobs parser (stored into \p *Jobs, with
-/// \p JobsHelp as its tool-specific description) and DriverContext's
-/// cross-cutting set (--trace, --metrics, --format, --explain, --stats,
-/// --cache-dir).
-void registerCommonOptions(OptionParser &P, DriverContext &Driver,
-                           unsigned *Jobs, const std::string &JobsHelp);
 
 /// Writes \p Content to \p Path. Returns false after printing
 /// "<tool>: cannot write '...'" to stderr.

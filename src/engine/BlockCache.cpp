@@ -1,4 +1,4 @@
-//===--- BlockCache.cpp - Sharded block-summary cache -----------------------===//
+//===--- BlockCache.cpp - Block-summary cache -----------------------------===//
 //
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
@@ -14,13 +14,4 @@ std::string BlockCacheStats::str() const {
          " inserts=" + std::to_string(Inserts) +
          " dropped=" + std::to_string(DroppedInserts) +
          " evictions=" + std::to_string(Evictions);
-}
-
-unsigned mix::engine::blockCacheShardsFor(unsigned Workers) {
-  if (Workers <= 1)
-    return 1;
-  unsigned N = 1;
-  while (N < Workers * 4 && N < 256)
-    N <<= 1;
-  return N;
 }

@@ -1,4 +1,4 @@
-//===--- BlockCache.h - Sharded block-summary cache -------------*- C++ -*-===//
+//===--- BlockCache.h - Block-summary cache ---------------------*- C++ -*-===//
 //
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
@@ -7,17 +7,12 @@
 ///
 /// \file
 /// The Section 4.3 cache — "we cache the translated types" of each block
-/// per compatible calling context — made safe for concurrent block
-/// analyses. The key space is sharded and each shard carries its own
-/// mutex, so lookups and inserts from different workers only contend when
-/// they hash to the same stripe.
+/// per compatible calling context. One ordered map per cache: an analysis
+/// runs on one thread, so the cache takes no locks.
 ///
-/// Semantics under races: first insert for a key wins and later inserts
-/// of the same key are dropped (block outcomes are deterministic per key,
-/// so the dropped value is identical — the insert is "lost" only as work,
-/// never as information). An optional per-shard capacity evicts oldest
-/// entries first; evictions only cost re-analysis, never soundness, which
-/// is exactly the contract of the paper's cache.
+/// The first insert for a key wins and later inserts of the same key are
+/// dropped (and counted): block outcomes are deterministic per key, so
+/// the dropped value is the same one.
 ///
 /// This lives in the shared engine layer (src/engine/) so every mix
 /// instantiation — formal MIX, MIXY-for-C, the sign mix — caches block
@@ -29,40 +24,31 @@
 #define MIX_ENGINE_BLOCKCACHE_H
 
 #include "observe/Metrics.h"
-#include "support/Hash.h"
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace mix::engine {
 
-/// Counter snapshot of one cache (summed over shards).
+/// Counter snapshot of one cache.
 struct BlockCacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t Inserts = 0;
-  uint64_t DroppedInserts = 0; ///< insert raced an existing entry
+  uint64_t DroppedInserts = 0; ///< insert found an existing entry
+  /// Always 0: the cache is unbounded. Kept so the rendered stats (and
+  /// the "<prefix>evictions" counter) keep their historical shape.
   uint64_t Evictions = 0;
 
-  /// "hits=3 misses=5 inserts=5 evictions=0"-style rendering.
+  /// "hits=3 misses=5 inserts=5 dropped=0 evictions=0"-style rendering.
   std::string str() const;
 };
 
-/// Number of stripes that keeps contention negligible for \p Workers
-/// concurrent workers (a power of two comfortably above the worker
-/// count).
-unsigned blockCacheShardsFor(unsigned Workers);
-
-/// A mutex-striped map from block calling contexts to block summaries.
-///
-/// \p Hash only selects the stripe; within a stripe, \p Key's operator<
-/// orders the entries (the analysis keys already define it).
+/// A map from block calling contexts (ordered by \p Key's operator<) to
+/// block summaries.
 ///
 /// Counters are registry-backed (src/observe/): pass a MetricsRegistry
 /// and a name prefix to surface "<prefix>hits", "<prefix>misses",
@@ -70,22 +56,12 @@ unsigned blockCacheShardsFor(unsigned Workers);
 /// registry — the same numbers --stats renders and --trace/--metrics
 /// export, by construction. Without a registry the cache owns a private
 /// one, so stats() always works.
-template <typename Key, typename Value, typename Hash = std::hash<Key>>
-class BlockCache {
+template <typename Key, typename Value> class BlockCache {
 public:
-  /// \p Shards is rounded up to a power of two; \p MaxEntriesPerShard of
-  /// 0 means unbounded.
-  explicit BlockCache(unsigned Shards = 16, size_t MaxEntriesPerShard = 0,
-                      Hash Hasher = Hash(),
-                      obs::MetricsRegistry *Metrics = nullptr,
-                      const std::string &Prefix = "blockcache.")
-      : MaxPerShard(MaxEntriesPerShard), Hasher(Hasher) {
-    unsigned N = 1;
-    while (N < Shards)
-      N <<= 1;
-    Stripes = std::vector<Shard>(N);
+  explicit BlockCache(obs::MetricsRegistry *Metrics = nullptr,
+                      const std::string &Prefix = "blockcache.") {
     if (!Metrics) {
-      OwnedMetrics = std::make_unique<obs::MetricsRegistry>(N);
+      OwnedMetrics = std::make_unique<obs::MetricsRegistry>();
       Metrics = OwnedMetrics.get();
     }
     CHits = Metrics->counter(Prefix + "hits");
@@ -97,68 +73,31 @@ public:
 
   /// Returns the cached summary for \p K, or nullopt on a miss.
   std::optional<Value> lookup(const Key &K) {
-    Shard &S = shardFor(K);
-    std::unique_lock<std::mutex> Lock(S.M);
-    auto It = S.Map.find(K);
-    if (It == S.Map.end()) {
-      Lock.unlock();
+    auto It = Map.find(K);
+    if (It == Map.end()) {
       CMisses.inc();
       return std::nullopt;
     }
-    std::optional<Value> Out = It->second;
-    Lock.unlock();
     CHits.inc();
-    return Out;
+    return It->second;
   }
 
   /// Inserts \p K -> \p V. Returns true when this call created the entry;
-  /// false when another insert got there first (the existing entry is
-  /// kept — summaries are deterministic per key).
+  /// false when the key was already cached (the existing entry is kept).
   bool insert(const Key &K, Value V) {
-    Shard &S = shardFor(K);
-    std::unique_lock<std::mutex> Lock(S.M);
-    auto [It, Fresh] = S.Map.emplace(K, std::move(V));
-    if (!Fresh) {
-      Lock.unlock();
+    if (!Map.emplace(K, std::move(V)).second) {
       CDropped.inc();
       return false;
     }
-    S.Order.push_back(K);
-    bool Evicted = false;
-    if (MaxPerShard != 0 && S.Map.size() > MaxPerShard) {
-      S.Map.erase(S.Order.front());
-      S.Order.pop_front();
-      Evicted = true;
-    }
-    Lock.unlock();
     CInserts.inc();
-    if (Evicted)
-      CEvictions.inc();
     return true;
   }
 
-  /// Entries across all shards.
-  size_t size() const {
-    size_t N = 0;
-    for (const Shard &S : Stripes) {
-      std::lock_guard<std::mutex> Lock(S.M);
-      N += S.Map.size();
-    }
-    return N;
-  }
+  size_t size() const { return Map.size(); }
 
-  void clear() {
-    for (Shard &S : Stripes) {
-      std::lock_guard<std::mutex> Lock(S.M);
-      S.Map.clear();
-      S.Order.clear();
-    }
-  }
+  void clear() { Map.clear(); }
 
-  unsigned shardCount() const { return (unsigned)Stripes.size(); }
-
-  /// Counter totals, read from the backing registry. Call at a barrier
-  /// for exact numbers (increments are relaxed atomics on sharded slots).
+  /// Counter totals, read from the backing registry.
   BlockCacheStats stats() const {
     BlockCacheStats Total;
     Total.Hits = CHits.value();
@@ -170,22 +109,7 @@ public:
   }
 
 private:
-  struct Shard {
-    mutable std::mutex M;
-    std::map<Key, Value> Map;
-    std::deque<Key> Order; ///< insertion order, for FIFO eviction
-  };
-
-  Shard &shardFor(const Key &K) {
-    // Avalanche the hash so clustered inputs still spread across stripes
-    // when the low bits select the stripe.
-    size_t H = (size_t)avalanche64(Hasher(K));
-    return Stripes[H & (Stripes.size() - 1)];
-  }
-
-  size_t MaxPerShard;
-  Hash Hasher;
-  std::vector<Shard> Stripes;
+  std::map<Key, Value> Map;
   /// Fallback registry when none was supplied (keeps stats() total).
   std::unique_ptr<obs::MetricsRegistry> OwnedMetrics;
   obs::Counter CHits, CMisses, CInserts, CDropped, CEvictions;

@@ -26,7 +26,6 @@
 ///
 ///   struct Domain {
 ///     using Key = ...;          // block + calling context; == and <
-///     using KeyHash = ...;      // stripe selector for the caches
 ///     using SymOutcome = ...;   // symbolic-block summary; ==
 ///     using TypedOutcome = ...; // typed-block summary; ==
 ///     static constexpr const char *Name = "...";  // metrics namespace
@@ -38,8 +37,8 @@
 /// keeps the boundary translations, which are the interesting per-domain
 /// code, in the instantiations where the paper puts them.
 ///
-/// The dependency-aware fixpoint scheduler that drives block re-runs
-/// lives next door in engine/Fixpoint.h.
+/// The fixpoint driver that re-runs blocks until their calling contexts
+/// settle lives next door in engine/Fixpoint.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +47,6 @@
 
 #include "engine/BlockCache.h"
 #include "observe/Metrics.h"
-#include "support/Hash.h"
 
 #include <functional>
 #include <optional>
@@ -73,13 +71,6 @@ struct NodeContextKey {
   bool operator<(const NodeContextKey &O) const {
     return std::tie(Node, Sig) < std::tie(O.Node, O.Sig);
   }
-
-  struct Hash {
-    size_t operator()(const NodeContextKey &K) const {
-      return hashCombine(std::hash<const void *>()(K.Node),
-                         std::hash<std::string>()(K.Sig));
-    }
-  };
 };
 
 /// The per-run callbacks a domain supplies to MixEngine::runSymbolic /
@@ -138,15 +129,12 @@ struct EngineCounters {
 /// The generic mix engine: block cache + block stack + assumption
 /// iteration, parameterized over an AnalysisDomain.
 ///
-/// Thread model: the caches are internally sharded and safe to share;
-/// the block stack is the *caller's* (passed per call), so parallel
-/// drivers hand each worker its own stack — recursion cannot span
-/// threads because a block's nested blocks run on the worker that runs
-/// the block.
+/// One engine serves one analysis on one thread. The block stack is the
+/// caller's (passed per call) so a domain can own it next to the rest of
+/// its evaluation state.
 template <typename Domain> class MixEngine {
 public:
   using Key = typename Domain::Key;
-  using KeyHash = typename Domain::KeyHash;
   using SymOutcome = typename Domain::SymOutcome;
   using TypedOutcome = typename Domain::TypedOutcome;
 
@@ -167,8 +155,6 @@ public:
     bool EnableCache = true;
     /// Assumption-iteration bound (Section 4.4).
     unsigned MaxRecursionIterations = 8;
-    /// Cache stripes (see blockCacheShardsFor).
-    unsigned Shards = 1;
     obs::MetricsRegistry *Metrics = nullptr;
     /// Counter prefixes of the two caches. MIXY keeps its historical
     /// "mixy.cache.sym." / "mixy.cache.typed." names through these.
@@ -178,11 +164,11 @@ public:
 
   explicit MixEngine(Config C)
       : Cfg(std::move(C)),
-        SymCache(Cfg.Shards, 0, KeyHash(), Cfg.Metrics,
+        SymCache(Cfg.Metrics,
                  Cfg.SymCachePrefix.empty()
                      ? "engine.cache." + std::string(Domain::Name) + ".sym."
                      : Cfg.SymCachePrefix),
-        TypedCache(Cfg.Shards, 0, KeyHash(), Cfg.Metrics,
+        TypedCache(Cfg.Metrics,
                    Cfg.TypedCachePrefix.empty()
                        ? "engine.cache." + std::string(Domain::Name) +
                              ".typed."
@@ -222,7 +208,7 @@ public:
 private:
   template <typename V>
   V runImpl(const Key &K, BlockStack &Stack, const RunHooks<V> &H,
-            BlockCache<Key, V, KeyHash> &Cache, V StackEntry::*Slot,
+            BlockCache<Key, V> &Cache, V StackEntry::*Slot,
             bool Symbolic) {
     if (Cfg.EnableCache) {
       if (auto Cached = Cache.lookup(K)) {
@@ -291,8 +277,8 @@ private:
   }
 
   Config Cfg;
-  BlockCache<Key, SymOutcome, KeyHash> SymCache;
-  BlockCache<Key, TypedOutcome, KeyHash> TypedCache;
+  BlockCache<Key, SymOutcome> SymCache;
+  BlockCache<Key, TypedOutcome> TypedCache;
   EngineCounters Counters;
 };
 

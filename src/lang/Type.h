@@ -23,7 +23,6 @@
 #include <cassert>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -98,10 +97,6 @@ public:
 private:
   const Type *make(TypeKind Kind, const Type *Arg0, const Type *Arg1);
 
-  /// Interning mutates the maps below, and parallel block analyses share
-  /// one context, so lookups are serialized. Interned pointers stay
-  /// stable forever; only the intern step itself needs the lock.
-  std::mutex InternM;
   std::vector<std::unique_ptr<Type>> Owned;
   std::map<std::pair<const Type *, const Type *>, const Type *> RefTypes;
   std::map<std::pair<const Type *, const Type *>, const Type *> FunTypes;

@@ -30,9 +30,7 @@ MixChecker::MixChecker(TypeContext &Types, DiagnosticEngine &Diags,
     : Types(Types), Diags(Diags), Opts(normalizedOptions(OptsIn)), Syms(Types),
       Solver(smt::createSolver(Opts.Solver, Terms, Opts.Smt)),
       Translator(Syms, Terms), Checker(Types, Diags),
-      Executor(Syms, Diags, executorOptionsFor(Opts)),
-      Solvers(Opts.Smt, Opts.Solver),
-      Eng(engineConfig(Opts)) {
+      Executor(Syms, Diags, executorOptionsFor(Opts)), Eng(engineConfig(Opts)) {
   Checker.setSymBlockOracle(this);
   Executor.setTypedBlockOracle(this);
   assert(Solver && "unknown solver backend (validate the SolverSpec with "
@@ -49,7 +47,6 @@ MixChecker::MixChecker(TypeContext &Types, DiagnosticEngine &Diags,
 
 MixChecker::Engine::Config MixChecker::engineConfig(const MixOptions &O) {
   Engine::Config C;
-  C.Shards = engine::blockCacheShardsFor(O.Jobs);
   C.Metrics = O.Metrics;
   return C;
 }
@@ -227,25 +224,6 @@ void MixChecker::reportPathError(const PathResult &P, SourceLoc BlockLoc,
     Diags.note(Loc, "for example, when " + Witness, DiagID::WitnessNote);
 }
 
-std::vector<char>
-MixChecker::classifyFeasibility(const std::vector<PathResult> &Paths) {
-  std::vector<char> Feasible(Paths.size(), 1);
-  if (!Pool)
-    Pool = std::make_unique<rt::ThreadPool>(Opts.Jobs, Opts.Trace, "mix");
-  // The symbol arena is quiescent here (enumeration finished), so each
-  // worker may translate against it with a private term arena; solver
-  // verdicts are deterministic per formula, so the feasible/infeasible
-  // split matches what the shared solver would say.
-  Pool->parallelFor(Paths.size(), [&](size_t I) {
-    smt::SolverPool::Lease Lease = Solvers.acquire();
-    SymToSmt LocalTranslator(Syms, Lease.terms());
-    Feasible[I] =
-        Lease.solver().checkSat(LocalTranslator.translate(
-            Paths[I].State.Path)) != smt::SolveResult::Unsat;
-  });
-  return Feasible;
-}
-
 const Type *MixChecker::checkSymbolicCore(const Expr *Body,
                                           const TypeEnv &Gamma,
                                           SourceLoc Loc) {
@@ -289,45 +267,21 @@ const Type *MixChecker::checkSymbolicCore(const Expr *Body,
   // discarded ("eventually, when symbolic execution completes, we will
   // check the path condition and discard the path if it is infeasible").
   std::vector<const PathResult *> Live;
-  if (Opts.Jobs > 1 && Result.Paths.size() > 1) {
-    // Paths are independent once enumerated: feasibility is checked
-    // concurrently (one pooled solver per worker), then the results are
-    // reported at the join in path order. The witness model for a
-    // feasible error path is re-derived on the shared solver so the
-    // diagnostic text matches the serial classification exactly.
-    std::vector<char> Feasible = classifyFeasibility(Result.Paths);
-    for (size_t I = 0; I != Result.Paths.size(); ++I) {
-      const PathResult &P = Result.Paths[I];
-      if (!Feasible[I]) {
-        ++Statistics.InfeasiblePathsDiscarded;
-        CInfeasible.inc();
-        continue;
-      }
-      if (P.IsError) {
-        smt::SmtModel Model;
-        Solver->checkSat(Translator.translate(P.State.Path), &Model);
-        reportPathError(P, Loc, Env, Model);
-        return nullptr;
-      }
-      Live.push_back(&P);
+  for (const PathResult &P : Result.Paths) {
+    smt::SmtModel Model;
+    if (Solver->checkSat(Translator.translate(P.State.Path), &Model) ==
+        smt::SolveResult::Unsat) {
+      ++Statistics.InfeasiblePathsDiscarded;
+      CInfeasible.inc();
+      continue;
     }
-  } else {
-    for (const PathResult &P : Result.Paths) {
-      smt::SmtModel Model;
-      if (Solver->checkSat(Translator.translate(P.State.Path), &Model) ==
-          smt::SolveResult::Unsat) {
-        ++Statistics.InfeasiblePathsDiscarded;
-        CInfeasible.inc();
-        continue;
-      }
-      if (P.IsError) {
-        // A concrete witness makes the report actionable: values for the
-        // block's inputs under which the failing path is taken.
-        reportPathError(P, Loc, Env, Model);
-        return nullptr;
-      }
-      Live.push_back(&P);
+    if (P.IsError) {
+      // A concrete witness makes the report actionable: values for the
+      // block's inputs under which the failing path is taken.
+      reportPathError(P, Loc, Env, Model);
+      return nullptr;
     }
+    Live.push_back(&P);
   }
 
   if (Live.empty()) {

@@ -30,8 +30,7 @@
 #define MIX_MIX_MIXCHECKER_H
 
 #include "engine/MixEngine.h"
-#include "runtime/ThreadPool.h"
-#include "solver/SolverPool.h"
+#include "solver/SolverFactory.h"
 #include "symexec/SymExecutor.h"
 #include "types/TypeChecker.h"
 
@@ -42,14 +41,6 @@ namespace mix {
 /// Configuration of the mixed analysis.
 struct MixOptions {
   SymExecOptions Exec;
-
-  /// Worker threads for classifying a symbolic block's paths (the
-  /// feasibility query per enumerated path is the solver-bound hot loop).
-  /// 1 keeps the serial classification, byte-for-byte identical in
-  /// diagnostics; N > 1 checks paths concurrently on a work-stealing
-  /// pool with one solver instance per worker, then reports at the join
-  /// in path order — same verdicts, same messages.
-  unsigned Jobs = 1;
 
   /// Section 3.2: exhaustive() can be required (sound) or weakened to a
   /// "good enough check" (the unsound-but-useful mode of typical symbolic
@@ -75,8 +66,7 @@ struct MixOptions {
 
   smt::SmtOptions Smt;
 
-  /// Which solver backend answers feasibility/exhaustiveness queries,
-  /// for the shared solver and every pooled worker.
+  /// Which solver backend answers feasibility/exhaustiveness queries.
   smt::SolverSpec Solver;
 
   /// Observability sinks (see src/observe/). The checker copies these
@@ -156,14 +146,13 @@ private:
   /// the analysis failed and diagnostics were reported).
   struct EngineDomain {
     using Key = engine::NodeContextKey;
-    using KeyHash = engine::NodeContextKey::Hash;
     using SymOutcome = const Type *;
     using TypedOutcome = const Type *;
     static constexpr const char *Name = "mix";
   };
   using Engine = engine::MixEngine<EngineDomain>;
 
-  /// The engine configuration implied by \p O (cache sharding, metrics).
+  /// The engine configuration implied by \p O (metrics).
   static Engine::Config engineConfig(const MixOptions &O);
 
   /// Renders Gamma as a stable cache-key signature ("x:int;y:bool;").
@@ -203,11 +192,6 @@ private:
   /// for concolic exploration).
   static SymExecOptions executorOptionsFor(const MixOptions &Opts);
 
-  /// Feasibility of every path in \p Paths, computed concurrently when
-  /// Opts.Jobs > 1 (each worker leases a pooled solver and translates
-  /// against the quiescent symbol arena). Serial when Jobs <= 1.
-  std::vector<char> classifyFeasibility(const std::vector<PathResult> &Paths);
-
   TypeContext &Types;
   DiagnosticEngine &Diags;
   MixOptions Opts;
@@ -224,13 +208,8 @@ private:
   // registry).
   obs::Counter CSymBlocks, CTypedBlocks, CPaths, CInfeasible, CExhaustive;
 
-  // Parallel classification (lazily built on first use).
-  smt::SolverPool Solvers;
-  std::unique_ptr<rt::ThreadPool> Pool;
-
   // The shared engine layer: block caches plus the Section 4.4 block
-  // stack. Block analysis is serial per checker instance (Jobs only
-  // parallelizes path classification), so one stack suffices.
+  // stack.
   Engine Eng;
   Engine::BlockStack BlockStack;
 };

@@ -33,29 +33,10 @@
 ///    by the shared engine layer (src/engine/MixEngine.h); MIXY is one of
 ///    its AnalysisDomain instantiations.
 ///
-/// Parallelism (Jobs > 1): symbolic blocks are independent at their
-/// boundaries — all a block exchanges with its caller is a calling
-/// context (the BlockKey) and a translated summary (the SymOutcome) — so
-/// their evaluations run concurrently on a work-stealing pool, scheduled
-/// by the engine fixpoint driver's dependency-aware worklist
-/// (src/engine/Fixpoint.h): static dependency edges between frontier
-/// call sites (call graph reachability to pointer-global writers, pointer
-/// signatures, alias coupling) are condensed into SCCs, each SCC iterates
-/// to its own fixpoint, and an SCC's dependents start the moment it
-/// stabilizes — a block re-runs as soon as its inputs change instead of
-/// waiting for a whole-program round. A final validation sweep (plain
-/// Jacobi rounds) guarantees the least fixpoint even where the static
-/// edges under-approximate. Frontier calls met during constraint
-/// generation are *deferred* to the fixpoint instead of being analyzed
-/// inline; that is just more of the optimism the paper already requires a
-/// fixpoint for, and the qualifier constraint system is monotone, so the
-/// worklist converges to the same least solution as the serial
-/// Gauss-Seidel-style loop. Every worker owns its executor, solver, term
-/// arena, block stack, and diagnostic buffer; the shared qualifier graph
-/// is only touched under a lock (by nested symbolic-to-typed switches and
-/// summary application), and per-wave diagnostics are merged in
-/// deterministic wave-tag order. With Jobs <= 1 the original serial path
-/// runs unchanged.
+/// The analysis runs on one thread. Typed-region inference meets frontier
+/// calls in program order and analyzes each block inline; the Section 4.1
+/// fixpoint then re-runs blocks whose calling context changed, one site
+/// at a time (engine/Fixpoint.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,12 +47,10 @@
 #include "engine/MixEngine.h"
 #include "ptranal/PointsTo.h"
 #include "qual/QualInference.h"
-#include "runtime/ThreadPool.h"
-#include "solver/SolverPool.h"
+#include "solver/SolverFactory.h"
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -86,7 +65,6 @@ namespace mix::c {
 // these aliases keep the historical mix::c spellings working.
 using engine::BlockCache;
 using engine::BlockCacheStats;
-using engine::blockCacheShardsFor;
 
 /// Configuration of a MIXY run.
 struct MixyOptions {
@@ -97,21 +75,16 @@ struct MixyOptions {
   bool RestoreAliasing = true;
   unsigned MaxFixpointIterations = 16;
   unsigned MaxRecursionIterations = 8;
-  /// Worker threads for block-level parallelism. 1 (the default) is the
-  /// serial engine, byte-for-byte identical to the pre-parallel driver;
-  /// N > 1 evaluates independent symbolic blocks on N workers.
-  unsigned Jobs = 1;
   CSymOptions Sym;
   QualOptions Qual;
   smt::SmtOptions Smt;
-  /// Which solver backend answers feasibility queries. Applies to the
-  /// serial solver and every pooled worker instance alike.
+  /// Which solver backend answers feasibility queries.
   smt::SolverSpec Solver;
 
   /// Observability sinks (see src/observe/). The analysis copies these
-  /// into Smt (solver counters/latency), the block caches
-  /// ("mixy.cache.sym.*" / "mixy.cache.typed.*" counters), and the
-  /// thread pool (per-worker task spans); the fixpoint driver adds
+  /// into Smt (solver counters/latency) and the block caches
+  /// ("mixy.cache.sym.*" / "mixy.cache.typed.*" counters); the fixpoint
+  /// driver adds
   /// "mixy.round" / "mixy.block.sym" / "mixy.block.typed" spans and
   /// publishes the MixyStats fields as "mixy.*" counters when the run
   /// finishes. Null (the default) disables all of it at one branch per
@@ -146,8 +119,7 @@ struct MixyOptions {
 /// Digest of every MixyOptions field that can change a persisted block
 /// summary or its diagnostics. Used as the block-store fingerprint: a
 /// cache written under different options loads as empty. Deliberately
-/// excludes Jobs (results are --jobs-invariant) and the caching knobs
-/// themselves.
+/// excludes the caching knobs themselves.
 uint64_t mixyPersistFingerprint(const MixyOptions &Opts);
 
 /// Statistics of a MIXY run.
@@ -192,9 +164,9 @@ public:
   CSymExecutor &executor() { return Exec; }
   PointsToAnalysis &pointsTo() { return PtrAnal; }
 
-  /// Counters of the sharded symbolic-block cache (Section 4.3).
+  /// Counters of the symbolic-block cache (Section 4.3).
   BlockCacheStats symCacheStats() const { return Eng.symCacheStats(); }
-  /// Counters of the sharded typed-block cache.
+  /// Counters of the typed-block cache.
   BlockCacheStats typedCacheStats() const { return Eng.typedCacheStats(); }
 
 private:
@@ -214,20 +186,6 @@ private:
     bool operator==(const BlockKey &O) const {
       return Symbolic == O.Symbolic && F == O.F && Params == O.Params &&
              Globals == O.Globals;
-    }
-  };
-
-  /// Stripe selector for the sharded caches (only placement, never
-  /// identity: shards compare keys with operator<).
-  struct BlockKeyHash {
-    size_t operator()(const BlockKey &K) const {
-      size_t H = hashCombine(std::hash<const void *>()(K.F), K.Symbolic);
-      for (NullSeed S : K.Params)
-        H = hashCombine(H, (size_t)S);
-      for (const auto &[Name, Seed] : K.Globals)
-        H = hashCombine(hashCombine(H, std::hash<std::string>()(Name)),
-                        (size_t)Seed);
-      return H;
     }
   };
 
@@ -258,9 +216,8 @@ private:
     SourceLoc Loc;
   };
 
-  /// One frontier call site, remembered for the fixpoint loop. LastKey.F
-  /// is null until the site's block has been analyzed at least once (the
-  /// deferred state of the parallel engine).
+  /// One frontier call site, remembered for the fixpoint loop, with the
+  /// calling context its block was last analyzed under.
   struct SymCallSite {
     const CCall *Call;
     const CFuncDecl *Callee;
@@ -275,26 +232,11 @@ private:
   /// the key/outcome types and the evaluation hooks.
   struct EngineDomain {
     using Key = BlockKey;
-    using KeyHash = BlockKeyHash;
     using SymOutcome = MixyAnalysis::SymOutcome;
     using TypedOutcome = bool;
     static constexpr const char *Name = "mixy";
   };
   using Engine = engine::MixEngine<EngineDomain>;
-
-  /// The per-thread slice of analysis state a block evaluation runs
-  /// against: an executor (with its solver and term arena behind it), the
-  /// diagnostics sink for that executor, and the recursion stack. The
-  /// serial engine binds these to the analysis-owned members; parallel
-  /// workers bind them to their own WorkerContext.
-  struct ExecContext {
-    CSymExecutor &Exec;
-    DiagnosticEngine &Diags;
-    Engine::BlockStack &Stack;
-  };
-
-  /// Everything one pool worker owns privately (defined in Mixy.cpp).
-  struct WorkerContext;
 
   // Region handling.
   std::set<const CFuncDecl *> typedRegionFrom(const CFuncDecl *Entry);
@@ -308,7 +250,7 @@ private:
   std::map<std::string, NullSeed> globalSeedsFromQuals();
 
   // Symbolic-block execution and translation.
-  SymOutcome computeSymOutcome(const BlockKey &Key, ExecContext C);
+  SymOutcome computeSymOutcome(const BlockKey &Key);
   SymOutcome translateResult(const CFuncDecl *F, const CSymResult &Result,
                              CSymExecutor &WithExec);
   void applySymOutcome(const SymOutcome &Outcome, const CCall *Call,
@@ -320,7 +262,7 @@ private:
   // Typed-block execution (from the symbolic side). \p CallLoc anchors
   // the null-seed notes (the call site, or the persisted location when a
   // recorded switch is replayed).
-  bool computeTypedRet(const BlockKey &Key, SourceLoc CallLoc, ExecContext C);
+  bool computeTypedRet(const BlockKey &Key, SourceLoc CallLoc);
 
   // --- persistent cache / incremental engine (src/persist/) --------------
   /// Computes per-function content and dependency-closure hashes, primes
@@ -341,13 +283,13 @@ private:
                           std::vector<Diagnostic> &Slice,
                           std::vector<TypedSwitch> &Switches) const;
   /// Writes a block summary, merging with whatever is already stored
-  /// under \p PKey. A parallel cold run can evaluate the same calling
-  /// context more than once against different snapshots of the shared
-  /// qualifier state, and the outcomes differ; the qualifier graph saw
-  /// the *union* of those seedings, so the persisted summary must carry
-  /// the union too (the facts are monotone may-be-null bits, so the
-  /// merge is an OR). A last-write-wins store here loses warnings on
-  /// warm parallel replay.
+  /// under \p PKey. With the in-memory block cache off (--no-cache), a
+  /// run evaluates one calling context at every call, each time against
+  /// the qualifier state of that moment, and the outcomes can differ;
+  /// the qualifier graph saw the *union* of those seedings, so the
+  /// persisted summary must carry the union too (the facts are monotone
+  /// may-be-null bits, so the merge is an OR). A last-write-wins store
+  /// here loses warnings on warm replay.
   void storeBlockSummary(uint64_t PKey, const SymOutcome &Outcome,
                          const std::vector<Diagnostic> &Slice,
                          const std::vector<TypedSwitch> &Switches);
@@ -358,57 +300,25 @@ private:
   /// Re-runs the recorded typed switches of a persisted block through the
   /// regular typed-block path, restoring the qualifier-graph constraints
   /// the cold run seeded.
-  void replayTypedSwitches(const std::vector<TypedSwitch> &Switches,
-                           ExecContext C);
+  void replayTypedSwitches(const std::vector<TypedSwitch> &Switches);
 
   /// Fresh, unconstrained qualifier variables shaped like \p Ty.
   QualVec freshQuals(const CType *Ty, const std::string &Description,
                      SourceLoc Loc);
 
-  // --- parallel engine ---------------------------------------------------
-  bool parallel() const { return Opts.Jobs > 1; }
-  /// The calling thread's context: its WorkerContext when on a pool
-  /// worker of this analysis, the serial members otherwise.
-  ExecContext currentContext();
-  /// Lazily builds the calling pool worker's private context.
-  WorkerContext &workerContext();
-  /// The typed-start driver for Jobs > 1. Seats the fixpoint on
-  /// engine::FixpointDriver's dependency-aware worklist.
-  unsigned runTypedParallel(const CFuncDecl *EntryFunc);
-  /// Builds the engine configuration (cache sharding, recursion budget,
-  /// metrics prefixes) from the analysis options.
+  /// Builds the engine configuration (recursion budget, metrics
+  /// prefixes) from the analysis options.
   static Engine::Config engineConfig(const MixyOptions &O);
   /// Recomputes site I's calling context from the current qualifier
   /// solution. Returns true (and updates LastKey) when it changed.
   bool refreshSite(size_t I);
-  /// Evaluates one wave of changed sites: distinct calling contexts run
-  /// concurrently on the pool, then summaries are applied in site order.
-  /// The wave's diagnostic slices are stashed under Tag for a
-  /// post-fixpoint merge in tag order.
-  void evaluateWave(const std::vector<size_t> &Sites, uint64_t Tag);
-  /// Static dependency edges between frontier call sites for the
-  /// worklist schedule: site I influences site J when I's summary can
-  /// move J's calling context (pointer signature, reachable
-  /// pointer-global writer, alias coupling, or indirect calls). Sound
-  /// over-approximation is not required — the driver's validation sweep
-  /// catches anything these edges miss.
-  std::vector<std::pair<size_t, size_t>> buildSiteGraph();
   /// Dependency edges between defined functions: the direct call graph
   /// plus a ring over each qualifier-alias class (one ring over every
   /// defined function when an indirect call makes the callee set
-  /// unknowable). Only reachability is meaningful. Shared by the
-  /// persistent-cache closure hashes and the site graph.
+  /// unknowable). Only reachability is meaningful. Feeds the
+  /// persistent-cache closure hashes.
   std::map<const CFuncDecl *, std::vector<const CFuncDecl *>>
   dependencyEdges(bool &SawIndirect);
-  /// May \p S store to any pointer-typed global in \p PtrGlobals? Any
-  /// indirect store counts conservatively.
-  bool writesPointerGlobal(const CStmt *S,
-                           const std::set<std::string> &PtrGlobals);
-  /// Appends a wave's worker diagnostics to the shared engine in
-  /// deterministic order, deduplicating warnings across workers the same
-  /// way one executor deduplicates across runs.
-  void mergeRoundDiagnostics(const std::vector<std::vector<Diagnostic>> &Per);
-  void bumpStat(unsigned MixyStats::*Field);
   /// Mirrors the final MixyStats into the metrics registry (no-op without
   /// one) so --stats / --metrics render from the same source.
   void publishStats();
@@ -423,45 +333,28 @@ private:
   PointsToAnalysis PtrAnal;
   QualInference Qual;
   CSymExecutor Exec;
-  /// The serial executor's body engine (the IR interpreter). Workers own
-  /// theirs, bound to their own executor.
+  /// The executor's body engine (the IR interpreter).
   std::unique_ptr<CBodyEngine> BodyEngine;
 
   /// The shared mix engine: block caches, recursion stack discipline,
   /// and assumption iteration (Sections 4.3 / 4.4).
   Engine Eng;
 
-  /// The serial thread's recursion stack (workers own theirs).
+  /// The recursion stack of in-flight blocks (Section 4.4).
   Engine::BlockStack BlockStack;
 
   std::vector<SymCallSite> SymCallSites;
 
-  // Persistent-cache state (read-only after initPersist, so workers need
-  // no lock).
+  /// The typed-switch log of the innermost persistable symbolic block
+  /// run. Null when the current run is not being recorded.
+  /// computeSymOutcome saves and restores it around each block, so nested
+  /// blocks log to their own summaries.
+  std::vector<TypedSwitch> *ActiveTypedLog = nullptr;
+
+  // Persistent-cache state (read-only after initPersist).
   bool PersistReady = false;
   bool PersistBlocks = false;
   std::map<const CFuncDecl *, uint64_t> FuncClosure;
-
-  // Parallel-engine state. QualM serializes every touch of the shared
-  // qualifier graph (and shared diagnostics) from worker threads; it is
-  // recursive because symbolic and typed blocks nest through the hooks.
-  smt::SolverPool Solvers;
-  std::unique_ptr<rt::ThreadPool> Pool;
-  std::vector<std::unique_ptr<WorkerContext>> WorkerSlots;
-  std::recursive_mutex QualM;
-  std::mutex SlotsM;
-  std::mutex StatsM;
-  // Serializes storeBlockSummary's read-merge-write of a persisted block
-  // summary, so concurrent evaluations of one calling context can't lose
-  // each other's contributions.
-  std::mutex PersistStoreM;
-  std::set<std::string> MergedWarnings;
-
-  // Worklist-schedule diagnostic buffering: wave tag -> per-context
-  // diagnostic slices, merged in tag order after the driver returns so
-  // the merged stream is independent of SCC completion timing.
-  std::mutex WaveM;
-  std::map<uint64_t, std::vector<std::vector<Diagnostic>>> WaveDiags;
 
   MixyStats Statistics;
 };

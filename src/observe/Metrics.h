@@ -186,8 +186,9 @@ struct MetricsSnapshot {
 class MetricsRegistry {
 public:
   /// \p ShardsHint is rounded up to a power of two; it should comfortably
-  /// exceed the worker count. The default suits any --jobs value this
-  /// project uses.
+  /// exceed the number of threads recording at once (mixyd's request
+  /// workers). The default suits any mixyd --jobs value this project
+  /// uses.
   explicit MetricsRegistry(unsigned ShardsHint = 32);
 
   /// Returns the (interned) counter named \p Name; repeated calls with

@@ -60,9 +60,8 @@ const char *phaseSpanName(Phase P);
 
 /// Per-request telemetry context. One is created per AnalysisService
 /// request when request telemetry is enabled; engine code only sees it as
-/// an optional pointer. Accumulation is relaxed-atomic so parallel
-/// fixpoint workers can add phase time concurrently; reads are exact at a
-/// barrier (request end), like the metrics registry.
+/// an optional pointer. Accumulation is relaxed-atomic, like the metrics
+/// registry; reads are exact at request end.
 class RequestTelemetry {
 public:
   RequestTelemetry() = default;

@@ -14,7 +14,7 @@
 /// Recording is sharded by thread: each event goes to a slot picked by
 /// threadSlot(), guarded by a per-slot mutex that only same-slot threads
 /// ever contend on. Events carry a tid (the recording thread's slot), so
-/// a ThreadPool run renders one timeline lane per worker.
+/// a mixyd trace renders one timeline lane per request worker.
 ///
 /// Like metrics handles, a null sink pointer is the off switch: TraceSpan
 /// and every record helper branch on the pointer and do nothing else, so
@@ -78,7 +78,7 @@ public:
   void complete(const char *Name, const char *Cat, uint64_t StartUs,
                 uint64_t DurUs, const std::string &ArgsJson = std::string());
 
-  /// Names the calling thread's timeline lane ("mixy worker 3").
+  /// Names the calling thread's timeline lane ("mixyd worker 3").
   void nameCurrentThread(const std::string &Name);
 
   /// Number of events recorded so far (spans + instants + metadata).

@@ -15,7 +15,7 @@
 ///
 /// Results are ordered by (line, column, id) — the same order the sorted
 /// JSON renderer uses — so the two machine formats carry identical
-/// locations in identical order regardless of --jobs.
+/// locations in identical order regardless of emission order.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -140,28 +140,3 @@ void ThreadPool::workerLoop(unsigned Index) {
   CurrentPool = nullptr;
   CurrentWorkerIndex = -1;
 }
-
-void ThreadPool::parallelFor(size_t N, const std::function<void(size_t)> &Body) {
-  if (N == 0)
-    return;
-  if (Workers.empty()) {
-    for (size_t I = 0; I != N; ++I)
-      Body(I);
-    return;
-  }
-  std::vector<TaskFuture<void>> Futures;
-  Futures.reserve(N);
-  for (size_t I = 0; I != N; ++I)
-    Futures.push_back(submit([&Body, I] { Body(I); }));
-  std::exception_ptr First;
-  for (TaskFuture<void> &F : Futures) {
-    try {
-      F.get();
-    } catch (...) {
-      if (!First)
-        First = std::current_exception();
-    }
-  }
-  if (First)
-    std::rethrow_exception(First);
-}

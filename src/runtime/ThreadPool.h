@@ -6,11 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool for block-level parallelism. The
-/// paper's analyses decompose into blocks that are independent at their
-/// boundaries (typed regions exchange only calling contexts and block
-/// summaries with symbolic blocks), so sibling blocks can be analyzed by
-/// concurrent workers and joined at a barrier.
+/// A small work-stealing thread pool: mixyd's request workers. Each
+/// analysis runs on one thread; the daemon parallelizes across requests.
 ///
 /// Design:
 ///  - one deque per worker; a task submitted from a worker goes to that
@@ -156,10 +153,6 @@ public:
     return N == 0 ? 1 : N;
   }
 
-  /// Index of the calling pool worker (0-based), or -1 when the caller is
-  /// not one of this pool's workers.
-  int currentWorker() const;
-
   /// Submits \p Fn; returns a future for its result. Exceptions thrown by
   /// \p Fn surface from TaskFuture::get().
   template <typename Fn, typename R = std::invoke_result_t<Fn>>
@@ -175,16 +168,15 @@ public:
     return TaskFuture<R>(std::move(State), this);
   }
 
-  /// Applies \p Body to every index in [0, N) using the pool, blocking
-  /// until all are done. Exceptions from any index are rethrown (one of
-  /// them) after all indices finished or were abandoned by their thrower.
-  void parallelFor(size_t N, const std::function<void(size_t)> &Body);
-
   /// Runs one queued task if any is available; returns false when the
   /// queues were all empty. Used by futures to help while waiting.
   bool runOneTask();
 
 private:
+  /// Index of the calling pool worker (0-based), or -1 when the caller is
+  /// not one of this pool's workers.
+  int currentWorker() const;
+
   template <typename R, typename Fn>
   static void runInline(detail::FutureState<R> &State, Fn Fn_) {
     try {

@@ -90,7 +90,6 @@ struct AnalysisRequest {
 
   Format OutputFormat = Format::Text;
   bool Explain = false;
-  unsigned Jobs = 1;
   smt::SolverSpec Solver;
   /// Record a trace of this request into the service's trace sink.
   bool Trace = false;
@@ -156,7 +155,7 @@ struct AnalysisResponse {
   /// printExpr(program) + "\n" when PrintProgram, else empty.
   std::string PrintedProgram;
 
-  // mixy block-cache summaries (Jobs > 1 stats lines), else empty.
+  // mixy block-cache summaries (BlockCacheStats::str()), else empty.
   std::string SymCacheStats;
   std::string TypedCacheStats;
 
@@ -269,8 +268,7 @@ public:
   /// The daemon entry point: answers identical requests from the response
   /// cache, coalesces identical in-flight requests onto one execution,
   /// otherwise runs. Identity is requestKey() — resolved source bytes
-  /// plus every semantic knob, excluding Jobs (results are
-  /// jobs-invariant by the PR-1 determinism contract).
+  /// plus every semantic knob.
   AnalysisResponse serve(const AnalysisRequest &Req);
 
   /// A client reports that \p Path changed: cached responses that were
@@ -295,7 +293,7 @@ public:
   /// The dependency-closure identity serve() dedups and caches by:
   /// a stable digest of the resolved source bytes and every
   /// output-affecting request field (format, explain, knobs, solver,
-  /// cache configuration) — excluding Jobs.
+  /// cache configuration).
   uint64_t requestKey(const AnalysisRequest &Req,
                       const std::string &Source) const;
 

@@ -84,8 +84,6 @@ std::string mix::service::encodeRequest(const AnalysisRequest &Req) {
     W.str("format", formatName(Req.OutputFormat));
   if (Req.Explain)
     W.boolean("explain", true);
-  if (Req.Jobs != 1)
-    W.num("jobs", Req.Jobs);
   if (Req.Solver.Backend != smt::SolverSpec().Backend)
     W.str("solver", Req.Solver.Backend);
   if (Req.Trace)
@@ -394,7 +392,6 @@ bool mix::service::decodeRequest(const json::Value &V, AnalysisRequest &Out,
                        {"json", [&] { Out.OutputFormat = Format::Json; }},
                        {"sarif", [&] { Out.OutputFormat = Format::Sarif; }}});
   D.boolean("explain", Out.Explain);
-  D.num("jobs", Out.Jobs);
   D.str("solver", Out.Solver.Backend);
   D.boolean("trace", Out.Trace);
   D.str("cache_dir", Out.CacheDir);

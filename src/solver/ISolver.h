@@ -88,8 +88,8 @@ modelBindings(const TermArena &Arena, const SmtModel &Model);
 /// record a verdict. Implemented by src/persist/ over an on-disk store;
 /// solvers consult it only for model-free queries and never store Unknown
 /// (a resource-cap artifact, not a property of the formula).
-/// Implementations must be thread-safe: SolverPool copies one cache
-/// pointer into every pooled instance.
+/// Implementations must be thread-safe: a daemon's concurrent requests
+/// can share one session, and with it one cache.
 class QueryCache {
 public:
   virtual ~QueryCache();
@@ -114,9 +114,7 @@ struct SmtOptions {
   /// "solver.unknown" counters and records its latency in the
   /// "solver.query_us" histogram; a trace sink additionally gets one
   /// "solver.query" span per query, tagged with the verdict. Null (the
-  /// default) keeps the hot path at a single branch. SolverPool copies
-  /// these into every pooled instance, so per-worker solvers aggregate
-  /// into the same registry.
+  /// default) keeps the hot path at a single branch.
   obs::MetricsRegistry *Metrics = nullptr;
   obs::TraceSink *Trace = nullptr;
 
@@ -137,7 +135,7 @@ struct SmtOptions {
 };
 
 /// The abstract solver backend. One instance serves one term arena;
-/// instances are not thread-safe (SolverPool hands out one per worker).
+/// instances are not thread-safe.
 class ISolver {
 public:
   virtual ~ISolver();

@@ -9,8 +9,8 @@
 /// The key half of the persistent solver-query cache (src/persist/): a
 /// stable 64-bit digest of a formula that is invariant under variable-id
 /// allocation order. TermArena hands out ids in creation order, which
-/// depends on execution history and on --jobs (each worker owns an
-/// arena), so raw ids cannot appear in a cross-run key. Instead,
+/// depends on execution history (a warm run replays blocks instead of
+/// executing them), so raw ids cannot appear in a cross-run key. Instead,
 /// variables are renumbered by first occurrence in a deterministic
 /// left-to-right preorder walk of the formula — alpha-equivalent queries
 /// built in different runs digest identically, and structurally different

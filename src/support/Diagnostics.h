@@ -100,8 +100,8 @@ struct Diagnostic {
 
   /// Evidence for this diagnostic (witness path, qualifier flow chain,
   /// block context), or null when no provenance sink was attached. The
-  /// payload is immutable and shared: cache replays and parallel merges
-  /// re-attach the same object. Opaque to this layer — src/provenance
+  /// payload is immutable and shared: cache replays re-attach the same
+  /// object. Opaque to this layer — src/provenance
   /// defines the type and every renderer of it.
   std::shared_ptr<const prov::DiagProvenance> Prov;
 
@@ -151,7 +151,7 @@ public:
   /// free-standing notes — everything except notes with a parent),
   /// stably sorted by (line, column, id). The shared result order of the
   /// sorted JSON and SARIF renderers, which makes machine output
-  /// byte-identical across --jobs values.
+  /// independent of emission order.
   std::vector<size_t> sortedTopLevelIndices() const;
 
   unsigned errorCount() const { return NumErrors; }
@@ -171,8 +171,9 @@ public:
   /// list. The --format=json surface of both CLIs.
   ///
   /// With \p Sorted, top-level entries are ordered by (line, column, id)
-  /// instead of emission order, so parallel runs render byte-identically
-  /// (the drivers always pass true); the default mirrors engine order.
+  /// instead of emission order, so the order blocks ran or replayed in
+  /// never shows (the drivers always pass true); the default mirrors
+  /// engine order.
   std::string renderJSON(bool Sorted = false) const;
 
 private:

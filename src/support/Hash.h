@@ -12,7 +12,7 @@
 ///  - StableHasher / stableHash64: 64-bit FNV-1a over an explicit
 ///    little-endian byte encoding. The result is part of the on-disk
 ///    cache contract (src/persist/): it must be identical across runs,
-///    platforms, build modes, and --jobs values, so nothing
+///    platforms and build modes, so nothing
 ///    address-dependent (pointers, iteration order of unordered
 ///    containers, std::hash) may ever feed it.
 ///

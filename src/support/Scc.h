@@ -6,9 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tarjan's strongly-connected-components algorithm, shared by the
-/// engine's worklist fixpoint (which schedules call sites SCC by SCC) and
-/// the persistent cache's dependency-closure hashes (which condense the
+/// Tarjan's strongly-connected-components algorithm, used by the
+/// persistent cache's dependency-closure hashes (which condense the
 /// dependency graph before computing reachable sets).
 ///
 //===----------------------------------------------------------------------===//

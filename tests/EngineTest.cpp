@@ -17,16 +17,11 @@
 #include "engine/Fixpoint.h"
 #include "engine/MixEngine.h"
 
-#include "runtime/ThreadPool.h"
-#include "support/Hash.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <mutex>
-#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace mix::engine;
@@ -48,12 +43,6 @@ struct TestDomain {
     }
     bool operator<(const Key &O) const {
       return std::tie(Node, Sig) < std::tie(O.Node, O.Sig);
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
-      return mix::hashCombine(std::hash<const void *>()(K.Node),
-                              std::hash<std::string>()(K.Sig));
     }
   };
   using SymOutcome = int;
@@ -287,6 +276,46 @@ TEST(MixEngineTest, EvalBeginEndBracketTheRunOutsideTheStack) {
   EXPECT_TRUE(SawBegin);
 }
 
+// --- BlockCache --------------------------------------------------------------
+
+TEST(BlockCacheTest, HitAndMissCountsAreExact) {
+  BlockCache<int, std::string> Cache;
+  constexpr int Keys = 256;
+  for (int Key = 0; Key != Keys; ++Key)
+    EXPECT_TRUE(Cache.insert(Key, "v" + std::to_string(Key)));
+  for (int Key = 0; Key != 2 * Keys; ++Key) {
+    auto V = Cache.lookup(Key);
+    if (Key < Keys) {
+      ASSERT_TRUE(V.has_value());
+      EXPECT_EQ(*V, "v" + std::to_string(Key));
+    } else {
+      EXPECT_FALSE(V.has_value());
+    }
+  }
+  BlockCacheStats S = Cache.stats();
+  EXPECT_EQ(Cache.size(), (size_t)Keys);
+  EXPECT_EQ(S.Inserts, (uint64_t)Keys);
+  EXPECT_EQ(S.Hits, (uint64_t)Keys);
+  EXPECT_EQ(S.Misses, (uint64_t)Keys);
+  EXPECT_EQ(S.str(), "hits=256 misses=256 inserts=256 dropped=0 evictions=0");
+}
+
+TEST(BlockCacheTest, FirstInsertWinsAndDuplicatesAreCounted) {
+  obs::MetricsRegistry Metrics;
+  BlockCache<int, int> Cache(&Metrics, "test.cache.");
+  EXPECT_TRUE(Cache.insert(1, 10));
+  EXPECT_FALSE(Cache.insert(1, 20));
+  EXPECT_EQ(*Cache.lookup(1), 10);
+  EXPECT_EQ(Cache.stats().DroppedInserts, 1u);
+  // The counters live in the registry the cache was given.
+  EXPECT_EQ(Metrics.counterValue("test.cache.inserts"), 1u);
+  EXPECT_EQ(Metrics.counterValue("test.cache.dropped"), 1u);
+  EXPECT_EQ(Metrics.counterValue("test.cache.hits"), 1u);
+  Cache.clear();
+  EXPECT_EQ(Cache.size(), 0u);
+  EXPECT_FALSE(Cache.lookup(1).has_value());
+}
+
 // --- FixpointDriver ----------------------------------------------------------
 
 namespace {
@@ -303,96 +332,47 @@ struct ChainSystem {
     FixpointCallbacks CB;
     CB.NumSites = [this] { return Ctx.size(); };
     CB.Refresh = [this](size_t I) {
-      // Locked too: with under-approximated edges, a neighbor's wave can
-      // write Val[I - 1] on another worker while this reads it.
-      std::lock_guard<std::mutex> Lock(WavesM);
       int New = I == 0 ? Target : Val[I - 1];
       if (New == Ctx[I])
         return false;
       Ctx[I] = New;
       return true;
     };
-    CB.EvaluateWave = [this](const std::vector<size_t> &Sites, uint64_t Tag) {
-      std::lock_guard<std::mutex> Lock(WavesM);
-      Waves.emplace_back(Tag, Sites);
-      for (size_t I : Sites)
-        Val[I] = Ctx[I];
-    };
-    CB.Edges = [this] {
-      std::vector<std::pair<size_t, size_t>> E;
-      for (size_t I = 1; I != Ctx.size(); ++I)
-        E.emplace_back(I - 1, I);
-      return E;
+    CB.Evaluate = [this](size_t I) {
+      Evaluated.push_back(I);
+      Val[I] = Ctx[I];
     };
     return CB;
   }
 
   int Target;
   std::vector<int> Ctx, Val;
-  std::mutex WavesM; ///< guards Ctx, Val and Waves
-  std::vector<std::pair<uint64_t, std::vector<size_t>>> Waves;
+  std::vector<size_t> Evaluated;
 };
 
 } // namespace
 
 TEST(FixpointDriverTest, AllSchedulesReachTheSameFixpoint) {
-  auto Expect = [](ChainSystem &S) {
-    for (int V : S.Val)
-      EXPECT_EQ(V, 7);
-  };
-  {
-    ChainSystem S(6, 7);
-    FixpointDriver D((FixpointConfig()));
-    EXPECT_GT(D.runSerial(S.callbacks()), 0u);
-    Expect(S);
-  }
-  {
-    ChainSystem S(6, 7);
-    FixpointDriver D((FixpointConfig()));
-    mix::rt::ThreadPool Pool(4);
-    EXPECT_GT(D.runWorklist(S.callbacks(), Pool), 0u);
-    Expect(S);
-  }
-}
-
-TEST(FixpointDriverTest, WorklistPipelinesAChainInOnePassPerSite) {
-  // On a chain whose edges are exact, the worklist evaluates each site
-  // exactly once (SCCs release in dependency order), where Jacobi rounds
-  // would need a full round per chain link.
-  ChainSystem S(8, 3);
-  FixpointConfig C;
+  // One schedule remains (Gauss-Seidel); it must reach the least
+  // fixpoint, and a chain whose sites are in dependency order settles in
+  // one pass per site plus the confirming round.
+  ChainSystem S(6, 7);
   obs::MetricsRegistry Metrics;
+  FixpointConfig C;
   C.Metrics = &Metrics;
   FixpointDriver D(C);
-  mix::rt::ThreadPool Pool(4);
-  D.runWorklist(S.callbacks(), Pool);
+  EXPECT_EQ(D.run(S.callbacks()), 1u);
   for (int V : S.Val)
-    EXPECT_EQ(V, 3);
-  size_t Evaluations = 0;
-  for (auto &[Tag, Sites] : S.Waves)
-    Evaluations += Sites.size();
-  EXPECT_EQ(Evaluations, 8u);
+    EXPECT_EQ(V, 7);
+  EXPECT_EQ(S.Evaluated, (std::vector<size_t>{0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(Metrics.counterValue("engine.worklist.reruns"), 0u);
+  EXPECT_EQ(Metrics.counterValue("engine.fixpoint.rounds"), 1u);
 }
 
-TEST(FixpointDriverTest, WorklistWaveTagsAreRunToRunDeterministic) {
-  auto Run = [] {
-    ChainSystem S(8, 3);
-    FixpointDriver D((FixpointConfig()));
-    mix::rt::ThreadPool Pool(4);
-    D.runWorklist(S.callbacks(), Pool);
-    std::sort(S.Waves.begin(), S.Waves.end());
-    return S.Waves;
-  };
-  auto A = Run();
-  for (int I = 0; I != 5; ++I)
-    EXPECT_EQ(Run(), A);
-}
-
-TEST(FixpointDriverTest, WorklistIteratesCyclesToTheirFixpoint) {
-  // Two mutually dependent sites (one SCC): site 0 raises its value
-  // toward 5 from site 1's, site 1 copies site 0's. The SCC must iterate
-  // internally until both stabilize at 5.
+TEST(FixpointDriverTest, SerialIteratesCyclesToTheirFixpoint) {
+  // Two mutually dependent sites: site 0 raises its value toward 5 from
+  // site 1's, site 1 copies site 0's. Rounds repeat until both settle
+  // at 5, re-running each site along the way.
   struct {
     std::vector<int> Ctx{-1, -1}, Val{0, 0};
   } S;
@@ -405,49 +385,30 @@ TEST(FixpointDriverTest, WorklistIteratesCyclesToTheirFixpoint) {
     S.Ctx[I] = New;
     return true;
   };
-  CB.EvaluateWave = [&](const std::vector<size_t> &Sites, uint64_t) {
-    for (size_t I : Sites)
-      S.Val[I] = S.Ctx[I];
-  };
-  CB.Edges = [] {
-    return std::vector<std::pair<size_t, size_t>>{{0, 1}, {1, 0}};
-  };
+  CB.Evaluate = [&](size_t I) { S.Val[I] = S.Ctx[I]; };
   obs::MetricsRegistry Metrics;
   FixpointConfig C;
   C.Metrics = &Metrics;
   FixpointDriver D(C);
-  mix::rt::ThreadPool Pool(2);
-  D.runWorklist(CB, Pool);
+  D.run(CB);
   EXPECT_EQ(S.Val[0], 5);
   EXPECT_EQ(S.Val[1], 5);
   EXPECT_GT(Metrics.counterValue("engine.worklist.reruns"), 0u);
   EXPECT_GT(Metrics.counterValue("engine.fixpoint.rounds"), 0u);
 }
 
-TEST(FixpointDriverTest, WorklistValidationSweepCoversMissingEdges) {
-  // Deliberately under-approximated edges (none at all): the SCC phase
-  // runs every site independently, and the validation sweep must still
-  // drive the chain to its least fixpoint.
-  ChainSystem S(5, 9);
-  FixpointCallbacks CB = S.callbacks();
-  CB.Edges = nullptr;
-  FixpointDriver D((FixpointConfig()));
-  mix::rt::ThreadPool Pool(4);
-  D.runWorklist(CB, Pool);
-  for (int V : S.Val)
-    EXPECT_EQ(V, 9);
-}
-
-TEST(FixpointDriverTest, WorklistPropagatesTaskExceptions) {
+TEST(FixpointDriverTest, SerialStopsAtTheRoundBound) {
+  // A system that never settles stops after MaxRounds rounds.
   FixpointCallbacks CB;
-  CB.NumSites = [] { return (size_t)2; };
+  unsigned Evaluations = 0;
+  CB.NumSites = [] { return (size_t)1; };
   CB.Refresh = [](size_t) { return true; };
-  CB.EvaluateWave = [](const std::vector<size_t> &, uint64_t) {
-    throw std::runtime_error("boom");
-  };
-  FixpointDriver D((FixpointConfig()));
-  mix::rt::ThreadPool Pool(2);
-  EXPECT_THROW(D.runWorklist(CB, Pool), std::runtime_error);
+  CB.Evaluate = [&](size_t) { ++Evaluations; };
+  FixpointConfig C;
+  C.MaxRounds = 3;
+  FixpointDriver D(C);
+  EXPECT_EQ(D.run(CB), 3u);
+  EXPECT_EQ(Evaluations, 3u);
 }
 
 TEST(FixpointDriverTest, SerialPicksUpSitesAppendedMidRound) {
@@ -465,18 +426,16 @@ TEST(FixpointDriverTest, SerialPicksUpSitesAppendedMidRound) {
     Ctx[I] = New;
     return true;
   };
-  CB.EvaluateWave = [&](const std::vector<size_t> &Sites, uint64_t) {
-    for (size_t I : Sites) {
-      Val[I] = Ctx[I];
-      if (I == 0 && !Appended) {
-        Appended = true;
-        Ctx.push_back(-1);
-        Val.push_back(0);
-      }
+  CB.Evaluate = [&](size_t I) {
+    Val[I] = Ctx[I];
+    if (I == 0 && !Appended) {
+      Appended = true;
+      Ctx.push_back(-1);
+      Val.push_back(0);
     }
   };
   FixpointDriver D((FixpointConfig()));
-  D.runSerial(CB);
+  D.run(CB);
   ASSERT_EQ(Val.size(), 2u);
   EXPECT_EQ(Val[1], 1);
 }

@@ -69,8 +69,7 @@ struct RunResult {
 };
 
 RunResult runMixy(const std::string &Source, const std::string &Dir,
-                  unsigned Jobs = 1, bool Explain = false,
-                  bool WarnDerefs = false) {
+                  bool Explain = false, bool WarnDerefs = false) {
   RunResult R;
   CAstContext Ctx;
   DiagnosticEngine Diags;
@@ -81,7 +80,6 @@ RunResult runMixy(const std::string &Source, const std::string &Dir,
 
   obs::MetricsRegistry Reg;
   MixyOptions Opts;
-  Opts.Jobs = Jobs;
   Opts.Metrics = &Reg;
   if (WarnDerefs) {
     Opts.Qual.WarnAllDereferences = true;
@@ -166,20 +164,6 @@ TEST(MixyPersistTest, WarmRunIsByteIdenticalAndHitsTheBlockStore) {
   EXPECT_EQ(Warm.FuncsDirty, 0u);
 }
 
-TEST(MixyPersistTest, WarmRunMatchesUnderParallelJobs) {
-  // Stable keys are independent of --jobs: a cache written serially must
-  // hit from a parallel run. The parallel engine's contract is set
-  // equality of diagnostics (order across sibling blocks is an
-  // implementation detail), so compare the sorted multiset.
-  TempDir D("jobs");
-  const std::string Source = corpus::vsftpdFull(true);
-  RunResult Cold = runMixy(Source, D.Path, /*Jobs=*/1);
-  RunResult Warm = runMixy(Source, D.Path, /*Jobs=*/4);
-  EXPECT_EQ(Warm.Warnings, Cold.Warnings);
-  EXPECT_EQ(Warm.SortedDiags, Cold.SortedDiags);
-  EXPECT_GT(Warm.BlockHits, 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // Provenance through the cache: explanations survive warm replay
 //===----------------------------------------------------------------------===//
@@ -211,9 +195,9 @@ TEST(MixyPersistTest, ExplainIsIdenticalColdAndWarm) {
   // full rendered text (diagnostics + evidence) is byte-identical, and
   // only the provenance.replayed counter tells the runs apart.
   TempDir D("explain");
-  RunResult Cold = runMixy(InBlockDerefSource, D.Path, /*Jobs=*/1,
+  RunResult Cold = runMixy(InBlockDerefSource, D.Path,
                            /*Explain=*/true, /*WarnDerefs=*/true);
-  RunResult Warm = runMixy(InBlockDerefSource, D.Path, /*Jobs=*/1,
+  RunResult Warm = runMixy(InBlockDerefSource, D.Path,
                            /*Explain=*/true, /*WarnDerefs=*/true);
 
   // The cold run recorded real evidence: the symbolic witness of the
@@ -241,8 +225,8 @@ TEST(MixyPersistTest, FlowChainExplanationIsIdenticalColdAndWarm) {
   // run rather than replayed, and must still come out byte-identical.
   TempDir D("explain_flow");
   const std::string Source = corpus::vsftpdFull(true);
-  RunResult Cold = runMixy(Source, D.Path, /*Jobs=*/1, /*Explain=*/true);
-  RunResult Warm = runMixy(Source, D.Path, /*Jobs=*/1, /*Explain=*/true);
+  RunResult Cold = runMixy(Source, D.Path, /*Explain=*/true);
+  RunResult Warm = runMixy(Source, D.Path, /*Explain=*/true);
   EXPECT_GT(Cold.Warnings, 0u);
   EXPECT_GT(Cold.ProvFlows, 0u);
   EXPECT_NE(Cold.Explain.find("qualifier flow:"), std::string::npos)
@@ -260,9 +244,9 @@ TEST(MixyPersistTest, ExplainOnAndOffRunsDoNotShareAStore) {
   // rebuilds full evidence — never as corruption or a replay of
   // evidence-free summaries.
   TempDir D("explain_fp");
-  RunResult Plain = runMixy(InBlockDerefSource, D.Path, /*Jobs=*/1,
+  RunResult Plain = runMixy(InBlockDerefSource, D.Path,
                             /*Explain=*/false, /*WarnDerefs=*/true);
-  RunResult Explained = runMixy(InBlockDerefSource, D.Path, /*Jobs=*/1,
+  RunResult Explained = runMixy(InBlockDerefSource, D.Path,
                                 /*Explain=*/true, /*WarnDerefs=*/true);
   EXPECT_EQ(Explained.Warnings, Plain.Warnings);
   EXPECT_TRUE(Explained.Degraded.empty());

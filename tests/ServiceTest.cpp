@@ -20,6 +20,7 @@
 #include "driver/OptionParser.h"
 #include "lang/Parser.h"
 #include "mixy/Mixy.h"
+#include "mixy/VsftpdMini.h"
 #include "provenance/Sarif.h"
 #include "qual/QualInference.h"
 #include "support/Json.h"
@@ -64,7 +65,6 @@ TEST(ProtocolTest, FullMixCheckRequestGoldenRoundTrip) {
   Req.InputName = "demo.mix";
   Req.OutputFormat = service::Format::Sarif;
   Req.Explain = true;
-  Req.Jobs = 4;
   Req.Solver.Backend = "dnf";
   Req.Trace = true;
   Req.CacheDir = "/tmp/mixcache";
@@ -82,7 +82,7 @@ TEST(ProtocolTest, FullMixCheckRequestGoldenRoundTrip) {
   const std::string Golden =
       "{\"version\": 1, \"tool\": \"mixcheck\", \"source\": \"1 + x\", "
       "\"input_name\": \"demo.mix\", \"format\": \"sarif\", "
-      "\"explain\": true, \"jobs\": 4, \"solver\": \"dnf\", "
+      "\"explain\": true, \"solver\": \"dnf\", "
       "\"trace\": true, "
       "\"cache_dir\": \"/tmp/mixcache\", \"incremental\": true, "
       "\"mode\": \"symbolic\", \"auto_place\": true, "
@@ -99,7 +99,6 @@ TEST(ProtocolTest, FullMixCheckRequestGoldenRoundTrip) {
   EXPECT_TRUE(Out.HasSource);
   EXPECT_EQ(Out.Source, "1 + x");
   EXPECT_EQ(Out.OutputFormat, service::Format::Sarif);
-  EXPECT_EQ(Out.Jobs, 4u);
   EXPECT_EQ(Out.Solver.Backend, "dnf");
   EXPECT_EQ(Out.Strategy, SymExecOptions::Strategy::Defer);
   EXPECT_EQ(Out.Havoc, SymExecOptions::HavocPolicy::WriteEffects);
@@ -159,15 +158,18 @@ TEST(ProtocolTest, RequestDecodeIsStrict) {
       "{\"version\": 1, \"tool\": \"mixy\", \"format\": \"yaml\"}", Out, Error));
   EXPECT_EQ(Error, "field 'format' must be one of text|json|sarif");
 
-  EXPECT_FALSE(service::decodeRequest(
-      "{\"version\": 1, \"tool\": \"mixy\", \"jobs\": -1}", Out, Error));
-  EXPECT_EQ(Error, "field 'jobs' must be a non-negative integer");
+  // Integer fields go through one shared check; no request field past
+  // the version is an integer, so a response's 'warnings' exercises it.
+  service::AnalysisResponse Resp;
+  EXPECT_FALSE(service::decodeResponse(
+      "{\"version\": 1, \"exit\": 0, \"warnings\": -1}", Resp, Error));
+  EXPECT_EQ(Error, "field 'warnings' must be a non-negative integer");
 
   // An integral double beyond the target type's range must be rejected,
   // not cast (the out-of-range conversion is undefined behavior).
-  EXPECT_FALSE(service::decodeRequest(
-      "{\"version\": 1, \"tool\": \"mixy\", \"jobs\": 1e30}", Out, Error));
-  EXPECT_EQ(Error, "field 'jobs' must be a non-negative integer");
+  EXPECT_FALSE(service::decodeResponse(
+      "{\"version\": 1, \"exit\": 0, \"warnings\": 1e30}", Resp, Error));
+  EXPECT_EQ(Error, "field 'warnings' must be a non-negative integer");
 
   EXPECT_FALSE(service::decodeRequest(
       "{\"version\": 1, \"tool\": \"mixy\", \"entry\": \"\"}", Out, Error));
@@ -176,6 +178,18 @@ TEST(ProtocolTest, RequestDecodeIsStrict) {
   // Not JSON at all: the parse error surfaces.
   EXPECT_FALSE(service::decodeRequest("{not json", Out, Error));
   EXPECT_FALSE(Error.empty());
+}
+
+TEST(ProtocolTest, RemovedJobsFieldIsRejected) {
+  // Each analysis runs on one thread, so a request has no "jobs" knob:
+  // the field is unknown, like any typo, rather than silently ignored.
+  service::AnalysisRequest Out;
+  std::string Error;
+  EXPECT_FALSE(service::decodeRequest(
+      "{\"version\": 1, \"tool\": \"mixy\", \"jobs\": 2}", Out, Error));
+  EXPECT_EQ(Error, "unknown request field 'jobs'");
+  EXPECT_EQ(service::encodeRequest(service::AnalysisRequest()).find("jobs"),
+            std::string::npos);
 }
 
 TEST(ProtocolTest, RemovedSolverPortfolioFieldIsRejected) {
@@ -588,21 +602,16 @@ TEST(ServiceTest, ResolveInputShapes) {
   EXPECT_TRUE(Resp.Payload.empty());
 }
 
-TEST(ServiceTest, RequestKeyExcludesJobsOnly) {
+TEST(ServiceTest, RequestKeySeparatesOutputAffectingKnobs) {
   service::AnalysisService Svc;
   service::AnalysisRequest Req;
   Req.Corpus = "case1";
 
-  service::AnalysisRequest MoreJobs = Req;
-  MoreJobs.Jobs = 8;
-  // Results are jobs-invariant, so the identity must coalesce them...
-  EXPECT_EQ(Svc.requestKey(Req, "src"), Svc.requestKey(MoreJobs, "src"));
-
-  // ...but any output-affecting knob separates the keys.
   service::AnalysisRequest Json = Req;
   Json.OutputFormat = service::Format::Json;
   EXPECT_NE(Svc.requestKey(Req, "src"), Svc.requestKey(Json, "src"));
   EXPECT_NE(Svc.requestKey(Req, "src"), Svc.requestKey(Req, "other src"));
+  EXPECT_EQ(Svc.requestKey(Req, "src"), Svc.requestKey(Req, "src"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -811,18 +820,18 @@ TEST(ServiceServeTest, ConcurrentIdenticalRequestsCoalesce) {
   // the deterministic backstop.)
   service::AnalysisService Svc(daemonConfig());
   const unsigned Threads = 6;
+  // A scaled corpus program keeps each execution in flight for tens of
+  // milliseconds, the window the other volley threads must land in.
+  const std::string Source = c::corpus::vsftpdScaled(
+      /*Annotated=*/true, /*Modules=*/8, /*SymbolicBlocks=*/4);
   bool Coalesced = false;
   for (int Attempt = 0; Attempt != 25 && !Coalesced; ++Attempt) {
     service::AnalysisRequest Req;
     Req.ToolKind = service::Tool::Mixy;
-    Req.Corpus = "case1";
+    Req.Source = Source;
+    Req.HasSource = true;
+    Req.Entry = "filler_main";
     Req.InputName = "volley-" + std::to_string(Attempt); // fresh key
-    // Jobs > 1 makes the executing thread block on the pool's condition
-    // variable mid-request; on a single-core host that yields the CPU to
-    // the other volley threads while the request is still in flight,
-    // which is the window the dedup path needs. (Jobs is excluded from
-    // the request key, so this does not perturb the key.)
-    Req.Jobs = 2;
     uint64_t Before = Svc.metrics().counterValue("service.dedup.hits");
 
     std::atomic<unsigned> Ready{0};

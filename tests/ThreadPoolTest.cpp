@@ -3,11 +3,10 @@
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
 //
-// The pool underpins block-level parallelism in both analyses, so these
-// tests pin its contract: submit/join round trips, exception propagation
-// through futures, nested submission without deadlock (futures help run
-// tasks while waiting), the degenerate 0- and 1-worker configurations,
-// and parallelFor's barrier semantics.
+// The pool runs mixyd's analyze requests, so these tests pin its
+// contract: submit/join round trips, exception propagation through
+// futures, nested submission without deadlock (futures help run tasks
+// while waiting), and the degenerate 0- and 1-worker configurations.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -108,49 +106,6 @@ TEST(ThreadPoolTest, OneWorkerIsSerial) {
   for (auto &F : Futures)
     F.get();
   EXPECT_EQ(Plain, 200);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  ThreadPool Pool(4);
-  std::vector<std::atomic<int>> Seen(257);
-  Pool.parallelFor(Seen.size(), [&](size_t I) { ++Seen[I]; });
-  for (size_t I = 0; I != Seen.size(); ++I)
-    EXPECT_EQ(Seen[I].load(), 1) << "index " << I;
-}
-
-TEST(ThreadPoolTest, ParallelForPropagatesAnException) {
-  ThreadPool Pool(3);
-  EXPECT_THROW(Pool.parallelFor(32,
-                                [&](size_t I) {
-                                  if (I == 17)
-                                    throw std::runtime_error("index 17");
-                                }),
-               std::runtime_error);
-}
-
-TEST(ThreadPoolTest, ParallelForZeroAndOneItems) {
-  ThreadPool Pool(2);
-  int Ran = 0;
-  Pool.parallelFor(0, [&](size_t) { ++Ran; });
-  EXPECT_EQ(Ran, 0);
-  Pool.parallelFor(1, [&](size_t I) {
-    EXPECT_EQ(I, 0u);
-    ++Ran;
-  });
-  EXPECT_EQ(Ran, 1);
-}
-
-TEST(ThreadPoolTest, CurrentWorkerIdentifiesPoolThreads) {
-  ThreadPool Pool(3);
-  EXPECT_EQ(Pool.currentWorker(), -1); // the test thread is not a worker
-  std::vector<TaskFuture<int>> Futures;
-  for (int I = 0; I != 24; ++I)
-    Futures.push_back(Pool.submit([&Pool] { return Pool.currentWorker(); }));
-  for (auto &F : Futures) {
-    int W = F.get();
-    EXPECT_GE(W, 0);
-    EXPECT_LT(W, 3);
-  }
 }
 
 TEST(ThreadPoolTest, ManyTasksAcrossManyWorkersSum) {

@@ -5,11 +5,10 @@ Every case runs one tool invocation and compares its stdout, its stderr
 and its exit code with the files recorded under tests/golden/cli/
 (<case>.stdout, <case>.stderr, <case>.exit). The goldens pin the
 user-visible surface of both executors: the MIXY case studies in every
-output format (text, json, sarif) and with --explain, a parallel
---jobs=4 run, the mixcheck program with a reference, a conditional and
-a planted type error, a --precise-deref program whose dereference the
-solver must clear under the path condition, and the mini-C non-lvalue
-assignment target.
+output format (text, json, sarif) and with --explain, the mixcheck
+program with a reference, a conditional and a planted type error, a
+--precise-deref program whose dereference the solver must clear under
+the path condition, and the mini-C non-lvalue assignment target.
 
     golden_check.py --mixyc BIN --mixcheck BIN [--only CASE ...]
     golden_check.py --mixyc BIN --mixcheck BIN --record
@@ -60,8 +59,6 @@ def cases():
                         [f"@{corpus}", f"--format={fmt}"]))
         out.append((f"mixyc-{corpus}-explain", "mixyc",
                     [f"@{corpus}", "--explain"]))
-    out.append(("mixyc-vsftpd-jobs4-json", "mixyc",
-                ["@vsftpd", "--jobs=4", "--format=json"]))
     for fmt in ("text", "json", "sarif"):
         out.append((f"mixcheck-prog-{fmt}", "mixcheck",
                     MIXCHECK_VARS + [f"--format={fmt}", "prog.mix"]))

@@ -106,11 +106,29 @@ def bench_warm_daemon(daemon):
     return times, cached, phase_us
 
 
+def fixpoint_chain(n):
+    """A mini-C program of n late-tainted symbolic blocks (the E6 chain of
+    bench/bench_fixpoint.cpp): heavy enough to keep one analysis in
+    flight while the rest of a burst arrives."""
+    out = ["void sysutil_free(void * nonnull p_ptr) MIX(typed);"]
+    out += [f"int *x{i};" for i in range(n)]
+    for i in range(n):
+        out.append(f"void use_block{i}(void) MIX(symbolic) {{\n"
+                   f"  sysutil_free((void*)x{i});\n}}")
+        out.append(f"void null_block{i}(void) MIX(symbolic) {{\n"
+                   f"  x{i} = NULL;\n}}")
+    out.append("int main(void) {")
+    out += [f"  use_block{i}();" for i in range(n)]
+    out += [f"  null_block{i}();" for i in range(n)]
+    out.append("  return 0;\n}")
+    return "\n".join(out) + "\n"
+
+
 def bench_dedup(daemon, burst=8):
-    # jobs > 1 makes the executing engine block on its pool, widening the
-    # in-flight window so the burst exercises dedup even on one core.
-    params = {"version": 1, "tool": "mixy", "corpus": "vsftpd",
-              "input_name": "bench-dedup", "format": "json", "jobs": 2}
+    # A larger input keeps the first execution in flight long enough for
+    # the rest of the burst to arrive and coalesce onto it.
+    params = {"version": 1, "tool": "mixy", "source": fixpoint_chain(32),
+              "input_name": "bench-dedup", "format": "json"}
     threads = [threading.Thread(target=daemon.call, args=("analyze", params))
                for _ in range(burst)]
     before = daemon.call("status")["result"]

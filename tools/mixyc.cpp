@@ -89,10 +89,7 @@ int main(int Argc, char **Argv) {
               "disable aliasing restoration (Section 4.2)");
   Parser.flag("--warn-derefs", &Req.WarnDerefs,
               "treat every dereference as a nonnull requirement");
-  driver::registerCommonOptions(
-      Parser, Driver, &Req.Jobs,
-      "analyze symbolic blocks on N worker threads\n"
-      "(default 1 = serial; 0 = one per hardware thread)");
+  Driver.registerOptions(Parser);
   Parser.flag("--incremental", &Req.Incremental,
               "with --cache-dir: reuse per-block summaries across runs,\n"
               "re-analyzing only functions whose code or dependencies "
@@ -183,9 +180,6 @@ int main(int Argc, char **Argv) {
       Info << "ir-engine bodies         : "
            << Reg.counterValue("ir.lower.misses") << " lowered (+"
            << Reg.counterValue("ir.lower.hits") << " cached)\n";
-      if (Req.Jobs > 1)
-        Info << "sym block cache          : " << Resp.SymCacheStats << "\n"
-             << "typed block cache        : " << Resp.TypedCacheStats << "\n";
     }
     Info << driver::renderPhaseBreakdown(Resp);
   }

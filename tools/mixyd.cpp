@@ -559,11 +559,10 @@ int main(int Argc, char **Argv) {
         return MetricsIntervalMs != 0;
       },
       "T", "rewrite --metrics-file every T ms (default 5000)");
-  driver::registerCommonOptions(
-      Parser, Driver, &Workers,
-      "serve analyze requests on N pool workers (default: one per\n"
-      "hardware thread); each request's own \"jobs\" field still "
-      "controls\nits engine parallelism");
+  Parser.jobs(&Workers,
+              "serve analyze requests on N pool workers (default: one per\n"
+              "hardware thread); each analysis runs on one thread");
+  Driver.registerOptions(Parser);
   Parser.flag("--help", &Help, "this text");
 
   if (!Parser.parse(Argc, Argv))
