@@ -488,7 +488,7 @@ void MixyAnalysis::collectCallees(const CStmt *S,
   }
 }
 
-std::set<const CFuncDecl *>
+std::vector<const CFuncDecl *>
 MixyAnalysis::typedRegionFrom(const CFuncDecl *Entry) {
   // BFS over the call graph, stopping at the MIX(symbolic) frontier.
   std::set<const CFuncDecl *> Region;
@@ -515,7 +515,14 @@ MixyAnalysis::typedRegionFrom(const CFuncDecl *Entry) {
       if (F->isDefined() && F->mixAnnot() != MixAnnot::Symbolic)
         Region.insert(F);
   }
-  return Region;
+  // Declaration order, not pointer order: inference meets frontier calls
+  // in this order, so it fixes the fixpoint's site order and must not
+  // depend on where the functions happen to be allocated.
+  std::vector<const CFuncDecl *> Ordered;
+  for (const CFuncDecl *F : Program.Funcs)
+    if (Region.count(F))
+      Ordered.push_back(F);
+  return Ordered;
 }
 
 // === context computation (Sections 4.1 / 4.3) ================================

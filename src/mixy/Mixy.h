@@ -239,7 +239,9 @@ private:
   using Engine = engine::MixEngine<EngineDomain>;
 
   // Region handling.
-  std::set<const CFuncDecl *> typedRegionFrom(const CFuncDecl *Entry);
+  /// The typed region reachable from \p Entry up to the MIX(symbolic)
+  /// frontier, in declaration order.
+  std::vector<const CFuncDecl *> typedRegionFrom(const CFuncDecl *Entry);
   void collectCallees(const CStmt *S, std::set<const CFuncDecl *> &Out,
                       bool &SawIndirect);
 

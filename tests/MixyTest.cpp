@@ -330,3 +330,29 @@ int main(void) { caller_ok(); caller_bad(); return 0; }
   // Two distinct contexts: two symbolic runs, no (cross-context) hit.
   EXPECT_GE(Stats.SymbolicBlockRuns, 2u);
 }
+
+TEST_F(MixyTest, RepeatedInProcessRunsAreIdentical) {
+  // Typed regions are analyzed in declaration order, so frontier calls
+  // (and the fixpoint sites they create) come in the same order on every
+  // run: where the functions happen to be allocated must not change the
+  // block runs or the diagnostics.
+  const std::string Source =
+      corpus::vsftpdScaled(/*Annotated=*/true, /*Modules=*/24,
+                           /*SymbolicBlocks=*/8);
+  std::vector<unsigned> Runs;
+  std::vector<std::string> Rendered;
+  for (int I = 0; I != 5; ++I) {
+    CAstContext Ctx;
+    DiagnosticEngine Diags;
+    const CProgram *P = parseC(Source, Ctx, Diags);
+    ASSERT_NE(P, nullptr) << Diags.str();
+    MixyAnalysis Mixy(*P, Ctx, Diags);
+    Mixy.run(MixyAnalysis::StartMode::Typed, "filler_main");
+    Runs.push_back(Mixy.stats().SymbolicBlockRuns);
+    Rendered.push_back(Diags.str());
+  }
+  for (int I = 1; I != 5; ++I) {
+    EXPECT_EQ(Runs[I], Runs[0]) << "run " << I;
+    EXPECT_EQ(Rendered[I], Rendered[0]) << "run " << I;
+  }
+}
