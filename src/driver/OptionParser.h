@@ -70,8 +70,9 @@ public:
                      const std::string &Meta = "VALUE",
                      const std::string &Help = std::string());
 
-  /// The shared --jobs=N option: digits only, 0 resolves to one worker
-  /// per hardware thread, result stored into \p *Jobs.
+  /// The --jobs=N option (mixyd's request workers): digits only, 0
+  /// resolves to one worker per hardware thread, result stored into
+  /// \p *Jobs.
   void jobs(unsigned *Jobs, const std::string &Help = std::string());
 
   /// Option groups let one registrar serve several front ends: wrap a

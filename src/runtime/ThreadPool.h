@@ -168,14 +168,14 @@ public:
     return TaskFuture<R>(std::move(State), this);
   }
 
-  /// Runs one queued task if any is available; returns false when the
-  /// queues were all empty. Used by futures to help while waiting.
-  bool runOneTask();
-
 private:
   /// Index of the calling pool worker (0-based), or -1 when the caller is
   /// not one of this pool's workers.
   int currentWorker() const;
+
+  /// Runs one queued task if any is available; returns false when the
+  /// queues were all empty. Used by futures to help while waiting.
+  bool runOneTask();
 
   template <typename R, typename Fn>
   static void runInline(detail::FutureState<R> &State, Fn Fn_) {
