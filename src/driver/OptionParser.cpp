@@ -7,7 +7,6 @@
 
 #include "driver/OptionParser.h"
 
-#include "runtime/ThreadPool.h"
 #include "support/StringExtras.h"
 
 #include <algorithm>
@@ -65,23 +64,6 @@ void OptionParser::separateValue(const std::string &Name,
   O.Meta = Meta;
   O.Help = Help;
   add(std::move(O));
-}
-
-void OptionParser::jobs(unsigned *Jobs, const std::string &Help) {
-  value(
-      "--jobs",
-      [Jobs](const std::string &V) {
-        if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos)
-          return false;
-        *Jobs = (unsigned)std::stoul(V);
-        if (*Jobs == 0)
-          *Jobs = rt::ThreadPool::hardwareWorkers();
-        return true;
-      },
-      "N",
-      Help.empty() ? "analyze with N worker threads (0 = one per hardware "
-                     "thread; default 1)"
-                   : Help);
 }
 
 std::string OptionParser::renderHelp() const {

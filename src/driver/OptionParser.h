@@ -12,8 +12,7 @@
 ///  - one exit-code contract (ExitCode below),
 ///  - one error shape ("<tool>: unknown option '--x'"), with a
 ///    "did you mean" suggestion computed by edit distance over the
-///    registered names,
-///  - one --jobs parser (0 resolves to one worker per hardware thread).
+///    registered names.
 ///
 /// Usage errors print to stderr and parse() returns false; the caller
 /// exits with ExitUsage.
@@ -69,11 +68,6 @@ public:
                      std::function<bool(const std::string &)> Fn,
                      const std::string &Meta = "VALUE",
                      const std::string &Help = std::string());
-
-  /// The --jobs=N option (mixyd's request workers): digits only, 0
-  /// resolves to one worker per hardware thread, result stored into
-  /// \p *Jobs.
-  void jobs(unsigned *Jobs, const std::string &Help = std::string());
 
   /// Option groups let one registrar serve several front ends: wrap a
   /// set of registrations in beginGroup("name")/endGroup(), and a front

@@ -1,4 +1,4 @@
-//===--- Metrics.cpp - Sharded counters and histograms ----------------------===//
+//===--- Metrics.cpp - Atomic counters and histograms -----------------------===//
 //
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
@@ -15,28 +15,20 @@
 
 using namespace mix::obs;
 
-unsigned mix::obs::threadSlot() {
-  static std::atomic<unsigned> Next{0};
-  thread_local unsigned Slot = Next.fetch_add(1, std::memory_order_relaxed);
-  return Slot;
-}
-
-HistogramSnapshot Histogram::snapshot() const {
+static HistogramSnapshot snapshotOf(const detail::HistogramSlot *Data) {
   HistogramSnapshot Out;
   if (!Data)
     return Out;
-  uint64_t Min = UINT64_MAX;
-  for (const detail::HistogramSlot &S : Data->Slots) {
-    Out.Count += S.Count.load(std::memory_order_relaxed);
-    Out.Sum += S.Sum.load(std::memory_order_relaxed);
-    Min = std::min(Min, S.Min.load(std::memory_order_relaxed));
-    Out.Max = std::max(Out.Max, S.Max.load(std::memory_order_relaxed));
-    for (unsigned B = 0; B != detail::HistogramBuckets; ++B)
-      Out.Buckets[B] += S.Buckets[B].load(std::memory_order_relaxed);
-  }
-  Out.Min = Out.Count == 0 ? 0 : Min;
+  Out.Count = Data->Count.load(std::memory_order_relaxed);
+  Out.Sum = Data->Sum.load(std::memory_order_relaxed);
+  Out.Min = Out.Count == 0 ? 0 : Data->Min.load(std::memory_order_relaxed);
+  Out.Max = Data->Max.load(std::memory_order_relaxed);
+  for (unsigned B = 0; B != detail::HistogramBuckets; ++B)
+    Out.Buckets[B] = Data->Buckets[B].load(std::memory_order_relaxed);
   return Out;
 }
+
+HistogramSnapshot Histogram::snapshot() const { return snapshotOf(Data); }
 
 double HistogramSnapshot::quantile(double Q) const {
   if (Count == 0)
@@ -65,58 +57,41 @@ double HistogramSnapshot::quantile(double Q) const {
   return (double)Max;
 }
 
-static unsigned roundPow2(unsigned N) {
-  unsigned P = 1;
-  while (P < N && P < 1024)
-    P <<= 1;
-  return P;
-}
-
-MetricsRegistry::MetricsRegistry(unsigned ShardsHint)
-    : Shards(roundPow2(ShardsHint == 0 ? 32 : ShardsHint)) {}
-
 Counter MetricsRegistry::counter(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(M);
-  std::unique_ptr<detail::CounterData> &Slot = Counters[Name];
-  if (!Slot)
-    Slot = std::make_unique<detail::CounterData>(Shards);
-  return Counter(Slot.get());
+  return Counter(&Counters[Name]);
 }
 
 Histogram MetricsRegistry::histogram(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(M);
-  std::unique_ptr<detail::HistogramData> &Slot = Histograms[Name];
-  if (!Slot)
-    Slot = std::make_unique<detail::HistogramData>(Shards);
-  return Histogram(Slot.get());
+  return Histogram(&Histograms[Name]);
 }
 
 uint64_t MetricsRegistry::counterValue(const std::string &Name) const {
   std::lock_guard<std::mutex> Lock(M);
   auto It = Counters.find(Name);
-  return It == Counters.end() ? 0 : It->second->total();
+  return It == Counters.end() ? 0
+                              : It->second.load(std::memory_order_relaxed);
 }
 
 HistogramSnapshot
 MetricsRegistry::histogramSnapshot(const std::string &Name) const {
-  detail::HistogramData *Data = nullptr;
+  const detail::HistogramSlot *Data = nullptr;
   {
     std::lock_guard<std::mutex> Lock(M);
     auto It = Histograms.find(Name);
     if (It != Histograms.end())
-      Data = It->second.get();
+      Data = &It->second;
   }
-  Histogram H;
-  H.Data = Data;
-  return H.snapshot();
+  return snapshotOf(Data);
 }
 
 std::vector<std::pair<std::string, uint64_t>> MetricsRegistry::counters() const {
   std::lock_guard<std::mutex> Lock(M);
   std::vector<std::pair<std::string, uint64_t>> Out;
   Out.reserve(Counters.size());
-  for (const auto &[Name, Data] : Counters)
-    Out.emplace_back(Name, Data->total());
+  for (const auto &[Name, Value] : Counters)
+    Out.emplace_back(Name, Value.load(std::memory_order_relaxed));
   return Out;
 }
 

@@ -11,10 +11,10 @@
 /// metadata, and renders them as Chrome trace format JSON — loadable in
 /// chrome://tracing or https://ui.perfetto.dev.
 ///
-/// Recording is sharded by thread: each event goes to a slot picked by
-/// threadSlot(), guarded by a per-slot mutex that only same-slot threads
-/// ever contend on. Events carry a tid (the recording thread's slot), so
-/// a mixyd trace renders one timeline lane per request worker.
+/// Recording appends to one event buffer under one mutex: each analysis
+/// records from one thread, and only mixyd's concurrent requests share a
+/// sink. Events carry a tid (the recording thread's threadSlot()), so a
+/// mixyd trace renders one timeline lane per request worker.
 ///
 /// Like metrics handles, a null sink pointer is the off switch: TraceSpan
 /// and every record helper branch on the pointer and do nothing else, so
@@ -32,6 +32,11 @@
 #include <vector>
 
 namespace mix::obs {
+
+/// A small, stable per-thread index: the tid of the trace events a thread
+/// records. Assigned on first use, process wide, and never reused; the
+/// main thread typically gets 0.
+unsigned threadSlot();
 
 /// Chrome trace event phases. 'X' = complete (span), 'i' = instant,
 /// 'M' = metadata (thread names).
@@ -92,10 +97,10 @@ public:
   /// renderJSON — the building block for per-request span trees.
   std::vector<TraceEvent> snapshotEvents() const;
 
-  /// Appends \p Events verbatim, preserving their tids and timestamps
+  /// Appends \p Imported verbatim, preserving their tids and timestamps
   /// (meaningful only when both sinks share an epoch). Used to fold a
   /// request-scoped sink back into the process-global trace.
-  void import(const std::vector<TraceEvent> &Events);
+  void import(const std::vector<TraceEvent> &Imported);
 
   /// The complete spans as a speedscope-compatible JSON profile
   /// (https://www.speedscope.app/file-format-schema.json): one "evented"
@@ -104,18 +109,11 @@ public:
   std::string renderSpeedscope(const std::string &Name = "mix") const;
 
 private:
-  /// One thread-slot's buffer. The mutex is uncontended unless two
-  /// threads share a slot (more threads than shards).
-  struct alignas(64) Shard {
-    std::mutex M;
-    std::vector<TraceEvent> Events;
-  };
-
   void record(TraceEvent E);
 
   std::chrono::steady_clock::time_point Epoch;
-  static constexpr unsigned NumShards = 64;
-  std::vector<Shard> Shards;
+  mutable std::mutex M;
+  std::vector<TraceEvent> Events;
 };
 
 /// RAII span: records a complete event covering its lifetime. Null sink

@@ -16,11 +16,14 @@
 ///    address-dependent (pointers, iteration order of unordered
 ///    containers, std::hash) may ever feed it.
 ///
-///  - hashCombine / avalanche64: in-process table and shard mixing.
-///    These may change freely between builds; they are never persisted.
-///    avalanche64 is the splitmix64 finalizer — every input bit affects
-///    every output bit, so taking the low bits for stripe selection is
-///    safe even for clustered inputs.
+///  - hashCombine: mixing for in-process hash tables (the solver's term
+///    table and the symbolic-expression arena). It may change freely
+///    between builds; its results are never persisted.
+///
+/// Both rest on avalanche64, the splitmix64 finalizer: every input bit
+/// affects every output bit, so clustered inputs (small integers,
+/// neighbouring pointers) still spread over a table's buckets. It also
+/// finalizes the stable digest, so it is part of the on-disk contract.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -4,10 +4,9 @@
 // Execution" (PLDI 2010).
 //
 // Covers the redesigned tool driver: option parsing with "did you mean"
-// suggestions, the shared --jobs parser, input loading (file / stdin /
-// @corpus), the exit-code contract, the DriverContext observability
-// flags, and a golden round-trip of --format=json diagnostics for the
-// built-in case studies.
+// suggestions, input loading (file / stdin / @corpus), the exit-code
+// contract, the DriverContext observability flags, and a golden
+// round-trip of --format=json diagnostics for the built-in case studies.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +16,6 @@
 #include "driver/OptionParser.h"
 #include "mixy/Mixy.h"
 #include "mixy/VsftpdMini.h"
-#include "runtime/ThreadPool.h"
 #include "support/Diagnostics.h"
 
 #include "TestJson.h"
@@ -121,28 +119,6 @@ TEST(OptionParserTest, Suggestions) {
   EXPECT_EQ(P.suggestionFor("--completely-unrelated"), "");
 }
 
-TEST(OptionParserTest, JobsParsing) {
-  driver::OptionParser P("tool");
-  unsigned Jobs = 1;
-  P.jobs(&Jobs);
-  ASSERT_TRUE(parseArgs(P, {"--jobs=4"}));
-  EXPECT_EQ(Jobs, 4u);
-
-  // 0 resolves to one worker per hardware thread.
-  driver::OptionParser P0("tool");
-  unsigned Jobs0 = 1;
-  P0.jobs(&Jobs0);
-  ASSERT_TRUE(parseArgs(P0, {"--jobs=0"}));
-  EXPECT_EQ(Jobs0, rt::ThreadPool::hardwareWorkers());
-  EXPECT_GE(Jobs0, 1u);
-
-  // Non-numeric values are usage errors.
-  driver::OptionParser PBad("tool");
-  unsigned JobsBad = 1;
-  PBad.jobs(&JobsBad);
-  EXPECT_FALSE(parseArgs(PBad, {"--jobs=many"}));
-}
-
 TEST(OptionParserTest, ExitCodeContract) {
   // The contract both CLIs document in --help; these values are part of
   // the tool interface and must never drift.
@@ -164,8 +140,6 @@ TEST(OptionParserTest, RenderHelpCoversEveryRegisteredOption) {
   P.separateValue(
       "--var", [](const std::string &) { return true; }, "name:type",
       "add a typed variable");
-  unsigned Jobs = 1;
-  P.jobs(&Jobs);
 
   std::string Help = P.renderHelp();
   size_t Last = 0;

@@ -220,6 +220,38 @@ int main(void) {
   EXPECT_GE(Stats.FixpointIterations, 1u);
 }
 
+TEST_F(MixyTest, FixpointChainWarnsOncePerSink) {
+  // bench_fixpoint's E6 chain at N = 4: use-block i frees x_i through its
+  // own typed sink, and every null arrives after the use blocks ran. Each
+  // late null must reach its sink, and qualifier warnings are per sink.
+  const unsigned N = 4;
+  std::string Source;
+  for (unsigned I = 0; I != N; ++I)
+    Source += "void sysutil_free" + std::to_string(I) +
+              "(void * nonnull p_ptr) MIX(typed);\n";
+  for (unsigned I = 0; I != N; ++I)
+    Source += "int *x" + std::to_string(I) + ";\n";
+  for (unsigned I = 0; I != N; ++I) {
+    std::string Idx = std::to_string(I);
+    Source += "void use_block" + Idx + "(void) MIX(symbolic) {\n"
+              "  sysutil_free" + Idx + "((void*)x" + Idx + ");\n}\n"
+              "void null_block" + Idx + "(void) MIX(symbolic) {\n"
+              "  x" + Idx + " = NULL;\n}\n";
+  }
+  Source += "int main(void) {\n";
+  for (unsigned I = 0; I != N; ++I)
+    Source += "  use_block" + std::to_string(I) + "();\n";
+  for (unsigned I = 0; I != N; ++I)
+    Source += "  null_block" + std::to_string(I) + "();\n";
+  Source += "  return 0;\n}\n";
+
+  EXPECT_EQ(mixyWarnings(Source), N) << LastDiags;
+  for (unsigned I = 0; I != N; ++I)
+    EXPECT_NE(LastDiags.find("sysutil_free" + std::to_string(I)),
+              std::string::npos)
+        << "no warning at sink " << I << ":\n" << LastDiags;
+}
+
 TEST_F(MixyTest, TrueErrorsAreStillReported) {
   // Soundness direction: MIXY removes false positives, not true ones.
   const char *Source = R"(

@@ -15,10 +15,14 @@ Speaks newline-delimited JSON-RPC 2.0 to one daemon process and asserts:
     phases) and cache hits carry a fresh id but no phase work,
   * status counters account for every request and expose request-latency
     quantiles plus the slow-request log,
-  * the metrics method returns OpenMetrics text, and shutdown exits 0.
+  * the metrics method returns OpenMetrics text, and shutdown exits 0,
+  * a burst written in one go to a one-worker daemon is answered once per
+    id, in request order (the request queue is FIFO), before EOF, and
+    under --max-inflight every request is either answered or rejected as
+    busy, with status counting each rejection.
 
-Responses are matched by JSON-RPC id, never by arrival order: analyses run
-on a worker pool, so the daemon may legally answer out of order.
+Outside the burst checks, responses are matched by JSON-RPC id, never by
+arrival order: with several workers the daemon may answer out of order.
 
 Used by ctest (tool_mixyd_stdio_smoke) and the CI daemon smoke step.
 """
@@ -86,6 +90,67 @@ def analyze_params(**kw):
 
 def run_cli(mixyc, args):
     return subprocess.run([mixyc, *args], capture_output=True, text=True)
+
+
+# Distinct analyze requests for the burst checks: every corpus case, so
+# no reply can come from the response cache or the in-flight dedup table.
+BURST = [analyze_params(corpus=c) for c in
+         ("case1", "case2", "case3", "case4", "vsftpd")] + \
+        [analyze_params(corpus="case1:baseline", baseline=True)]
+
+
+def burst(mixyd, args, tail):
+    """Writes the BURST analyze requests (ids 1..6) and then the \p tail
+    messages to a fresh daemon in one write, reads every envelope up to
+    EOF, and returns (exit code, envelopes in arrival order)."""
+    msgs = [{"jsonrpc": "2.0", "id": i + 1, "method": "analyze", "params": p}
+            for i, p in enumerate(BURST)] + tail
+    proc = subprocess.Popen([mixyd, *args], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate("".join(json.dumps(m) + "\n" for m in msgs),
+                              timeout=240)
+    return proc.returncode, [json.loads(line) for line in out.splitlines()]
+
+
+def check_bursts(mixyd):
+    analyze_ids = list(range(1, len(BURST) + 1))
+    shutdown = {"jsonrpc": "2.0", "id": 99, "method": "shutdown"}
+
+    # One worker, default admission: every request is admitted, queued,
+    # and answered exactly once, oldest first, before the daemon exits.
+    code, envs = burst(mixyd, ["--jobs=1"], [shutdown])
+    assert code == 0, f"burst daemon exited {code}"
+    ids = [e["id"] for e in envs if "id" in e]
+    assert sorted(ids) == analyze_ids + [99], ids
+    results = [e["id"] for e in envs if e.get("id") in analyze_ids]
+    assert results == analyze_ids, f"replies not in request order: {results}"
+    for e in envs:
+        if e.get("id") in analyze_ids:
+            assert "result" in e and e["result"]["version"] == 1, e
+
+    # --max-inflight=2: the first two requests are always admitted; each
+    # later one is answered or rejected as busy, depending on how far the
+    # worker got. The status request is read after every admission
+    # decision, so its busy count is exact.
+    status = {"jsonrpc": "2.0", "id": 98, "method": "status"}
+    code, envs = burst(mixyd, ["--jobs=1", "--max-inflight=2"],
+                       [status, shutdown])
+    assert code == 0, f"admission burst daemon exited {code}"
+    by_id = {}
+    for e in envs:
+        if "id" in e:
+            assert e["id"] not in by_id, f"two envelopes for id {e['id']}"
+            by_id[e["id"]] = e
+    assert sorted(by_id) == analyze_ids + [98, 99], sorted(by_id)
+    answered = [e["id"] for e in envs
+                if e.get("id") in analyze_ids and "result" in e]
+    busy = [i for i in analyze_ids if "error" in by_id[i]]
+    for i in busy:
+        assert by_id[i]["error"]["code"] == -32001, by_id[i]
+    assert len(answered) + len(busy) == len(analyze_ids), (answered, busy)
+    assert answered[:2] == [1, 2] and answered == sorted(answered), answered
+    assert by_id[98]["result"]["busy_rejections"] == len(busy), \
+        (by_id[98], busy)
 
 
 def main():
@@ -238,6 +303,9 @@ def main():
     assert client.request(3, "shutdown")["result"]["ok"]
     code = client.close()
     assert code == 0, f"deadline-mode daemon exited {code}"
+
+    # 12. Bursts: FIFO reply order, one reply per id, admission accounting.
+    check_bursts(mixyd)
 
     print("mixyd stdio smoke: all checks passed")
 

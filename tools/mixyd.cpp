@@ -7,8 +7,9 @@
 // JSON-RPC 2.0 on stdio (default) or a Unix socket (--listen=PATH), keeps
 // the engines, persist sessions, and solver stores warm across requests,
 // deduplicates identical in-flight requests by dependency-closure hash,
-// and runs analyses on a thread pool behind admission control
-// (--max-inflight) with an optional per-request deadline (--deadline-ms).
+// and runs analyses on --jobs worker threads that take requests from one
+// FIFO queue, behind admission control (--max-inflight) with an optional
+// per-request deadline (--deadline-ms).
 //
 // Methods:
 //   analyze      params = protocol-v1 AnalysisRequest (src/service/Protocol.h),
@@ -41,20 +42,20 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <deque>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "runtime/ThreadPool.h"
 
 using namespace mix;
 namespace driver = mix::driver;
@@ -208,25 +209,39 @@ private:
 };
 
 /// The daemon: owns the service (via a DriverContext so artifacts and
-/// observability reuse the CLI plumbing), the worker pool, and admission
-/// state. handleLine() is the whole protocol.
+/// observability reuse the CLI plumbing), the request workers, and
+/// admission state. handleLine() is the whole protocol.
+///
+/// Admitted analyze requests wait in one FIFO queue; each of the \p
+/// Workers threads takes the oldest, so replies to a burst come back in
+/// request order whenever one worker serves it.
 class Daemon {
 public:
   Daemon(driver::DriverContext &Driver, unsigned Workers, unsigned MaxInflight,
          unsigned DeadlineMs)
       : Driver(Driver), Svc(Driver.service()), MaxInflight(MaxInflight),
-        DeadlineMs(DeadlineMs),
-        Pool(Workers, Driver.traceSink(), "mixyd") {
+        DeadlineMs(DeadlineMs) {
+    for (unsigned I = 0; I != Workers; ++I)
+      Threads.emplace_back([this, I] { workerLoop(I); });
     if (DeadlineMs)
       Deadlines.start();
   }
 
   ~Daemon() { finish(); }
 
-  /// Joins in-flight work and the deadline watcher. Call before saving
-  /// sessions so no worker is still writing into them.
+  /// Runs every queued and running request to completion, then joins the
+  /// workers and the deadline watcher. Call after the last line was read
+  /// and before saving sessions, so no worker is still writing into them;
+  /// later calls do nothing.
   void finish() {
-    drainFutures(/*All=*/true);
+    {
+      std::lock_guard<std::mutex> Lock(QueueMu);
+      Draining = true;
+    }
+    QueueCv.notify_all();
+    for (std::thread &T : Threads)
+      if (T.joinable())
+        T.join();
     Deadlines.stop();
   }
 
@@ -397,8 +412,7 @@ private:
                     });
     }
 
-    auto Future = Pool.submit([this, AReq = std::move(AReq), Id, Out, Claimed,
-                               Stream] {
+    enqueue([this, AReq = std::move(AReq), Id, Out, Claimed, Stream] {
       service::AnalysisResponse Resp = Svc.serve(AReq);
       InFlightCount.fetch_sub(1);
       if (Claimed->exchange(true))
@@ -415,47 +429,51 @@ private:
                   jsonEscape(D.Message) + "\"}}"));
       Out->send(service::rpcResult(Id, service::encodeResponse(Resp)));
     });
-    trackFuture(std::move(Future));
   }
 
-  /// Outstanding futures must be awaited before the pool dies; completed
-  /// ones are reaped opportunistically so the deque stays bounded by the
-  /// admission cap.
-  void trackFuture(rt::TaskFuture<void> Future) {
-    std::lock_guard<std::mutex> Lock(FuturesMu);
-    for (size_t I = 0; I < Futures.size();) {
-      if (Futures[I].ready()) {
-        Futures[I] = std::move(Futures.back());
-        Futures.pop_back();
-      } else {
-        ++I;
-      }
-    }
-    Futures.push_back(std::move(Future));
-  }
-
-  void drainFutures(bool All) {
-    std::vector<rt::TaskFuture<void>> Local;
+  void enqueue(std::function<void()> Task) {
     {
-      std::lock_guard<std::mutex> Lock(FuturesMu);
-      Local.swap(Futures);
+      std::lock_guard<std::mutex> Lock(QueueMu);
+      Queue.push_back(std::move(Task));
     }
-    for (auto &F : Local)
-      if (All || F.ready())
-        F.get();
+    QueueCv.notify_one();
+  }
+
+  /// One request worker: names its trace lane, then runs queued requests
+  /// oldest first, each as a "pool.task" span, until finish() has been
+  /// called and the queue is empty.
+  void workerLoop(unsigned Index) {
+    obs::TraceSink *Trace = Driver.traceSink();
+    if (Trace)
+      Trace->nameCurrentThread("mixyd worker " + std::to_string(Index));
+    for (;;) {
+      std::function<void()> Task;
+      {
+        std::unique_lock<std::mutex> Lock(QueueMu);
+        QueueCv.wait(Lock, [this] { return Draining || !Queue.empty(); });
+        if (Queue.empty())
+          return;
+        Task = std::move(Queue.front());
+        Queue.pop_front();
+      }
+      obs::TraceSpan Span(Trace, "pool.task", "pool");
+      Task();
+    }
   }
 
   driver::DriverContext &Driver;
   service::AnalysisService &Svc;
   unsigned MaxInflight;
   unsigned DeadlineMs;
-  rt::ThreadPool Pool;
   DeadlineWatcher Deadlines;
   std::atomic<unsigned> InFlightCount{0};
   std::atomic<bool> Stop{false};
   std::function<void()> StopFn;
-  std::mutex FuturesMu;
-  std::vector<rt::TaskFuture<void>> Futures;
+  std::mutex QueueMu;
+  std::condition_variable QueueCv;
+  std::deque<std::function<void()>> Queue;
+  bool Draining = false;
+  std::vector<std::thread> Threads;
 };
 
 /// Reads newline-delimited messages from \p Fd until EOF, daemon stop, or
@@ -490,7 +508,7 @@ int main(int Argc, char **Argv) {
   std::string ListenPath;
   unsigned MaxInflight = 8;
   unsigned DeadlineMs = 0;
-  unsigned Workers = rt::ThreadPool::hardwareWorkers();
+  unsigned Workers = 0; // 0 = one per hardware thread
 
   driver::OptionParser Parser("mixyd");
   // Per-request output makes the CLI-output flags meaningless here; the
@@ -559,9 +577,16 @@ int main(int Argc, char **Argv) {
         return MetricsIntervalMs != 0;
       },
       "T", "rewrite --metrics-file every T ms (default 5000)");
-  Parser.jobs(&Workers,
-              "serve analyze requests on N pool workers (default: one per\n"
-              "hardware thread); each analysis runs on one thread");
+  Parser.value(
+      "--jobs",
+      [&](const std::string &V) {
+        if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos)
+          return false;
+        Workers = (unsigned)std::stoul(V);
+        return true;
+      },
+      "N", "serve analyze requests on N worker threads (default 0 = one\n"
+           "per hardware thread); each analysis runs on one thread");
   Driver.registerOptions(Parser);
   Parser.flag("--help", &Help, "this text");
 
@@ -576,13 +601,16 @@ int main(int Argc, char **Argv) {
     return driver::ExitUsage;
   }
 
+  if (Workers == 0)
+    Workers = std::max(1u, std::thread::hardware_concurrency());
   Daemon D(Driver, Workers, MaxInflight, DeadlineMs);
   installSignalHandlers();
 
   // The --metrics-file flusher: one background thread rewriting the file
-  // every interval, woken early at shutdown for the final flush. Reads
-  // sum the sharded slots, so an off-barrier flush is approximate in the
-  // same way any scrape of a live process is.
+  // every interval, woken early at shutdown for the final flush. Each
+  // counter is read atomically, but a flush taken while requests run is
+  // not one consistent cut across counters, like any scrape of a live
+  // process.
   std::mutex FlushMu;
   std::condition_variable FlushCv;
   bool FlushStop = false;
