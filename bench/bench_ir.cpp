@@ -9,11 +9,11 @@
 //    on two ProgramGen corpora — no symbolic inputs at all (every guard
 //    concrete), and symbolic ints/bools that fork heavily.
 //
-//  - MiniCConcrete / MiniCBranchy: the mini-C IR engine (CIrExecutor
-//    under CSymExecutor's memory model) on a straight-line store-heavy
-//    body and a pointer/branch-heavy one. The engine lives as long as
-//    the benchmark, so warm iterations exercise the lowering cache
-//    exactly like a warm daemon session (ir.lower.hits counts them).
+//  - MiniCConcrete / MiniCBranchy: CSymExecutor's mini-C bytecode
+//    interpreter on a straight-line store-heavy body and a
+//    pointer/branch-heavy one. The executor lives as long as the
+//    benchmark, so warm iterations exercise the lowering cache exactly
+//    like a warm daemon session (ir.lower.hits counts them).
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +21,6 @@
 #include "ProgramGen.h"
 
 #include "cfront/CParser.h"
-#include "concolic/CIrExecutor.h"
 #include "csym/CSymExecutor.h"
 #include "observe/Metrics.h"
 #include "solver/SolverFactory.h"
@@ -192,10 +191,10 @@ void runMiniCCorpus(benchmark::State &State, const char *Src) {
   smt::SmtOptions SO;
   SO.Metrics = &Reg;
   std::unique_ptr<smt::ISolver> Solver =
-      smt::createBackend("smtlite", Terms, SO);
-  c::CSymExecutor Exec(*P, Ctx, Diags, Terms, *Solver);
-  std::unique_ptr<c::CBodyEngine> Engine =
-      concolic::makeCBodyEngine(Exec, &Reg, nullptr);
+      smt::createSolver({"smtlite"}, Terms, SO);
+  c::CSymOptions Opts;
+  Opts.Metrics = &Reg;
+  c::CSymExecutor Exec(*P, Ctx, Diags, Terms, *Solver, Opts);
   const c::CFuncDecl *F = P->findFunc("main");
 
   size_t Paths = 0;

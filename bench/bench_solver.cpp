@@ -160,7 +160,7 @@ void BM_Solver_BackendPathCondition(benchmark::State &State) {
   unsigned N = 16;
   for (auto _ : State) {
     TermArena A;
-    std::unique_ptr<ISolver> S = createBackend(Name, A, SmtOptions());
+    std::unique_ptr<ISolver> S = createSolver({Name}, A, SmtOptions());
     std::vector<const Term *> Xs;
     for (unsigned I = 0; I <= N; ++I)
       Xs.push_back(A.freshIntVar());

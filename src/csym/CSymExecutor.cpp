@@ -7,6 +7,8 @@
 
 #include "csym/CSymExecutor.h"
 
+#include "ir/CIr.h"
+
 using namespace mix::c;
 using mix::smt::Term;
 
@@ -16,7 +18,14 @@ CSymExecutor::CSymExecutor(const CProgram &Program, CAstContext &Ctx,
     : Program(Program), Ctx(Ctx), Diags(Diags), Terms(Terms), Solver(Solver),
       Stack(Solver.openStack()), Opts(Opts) {
   Objects.push_back({nullptr, "<none>"}); // slot 0 = NoLoc
+  if (Opts.Metrics) {
+    CExecPaths = Opts.Metrics->counter("exec.paths");
+    CLowerHits = Opts.Metrics->counter("ir.lower.hits");
+    CLowerMisses = Opts.Metrics->counter("ir.lower.misses");
+  }
 }
+
+CSymExecutor::~CSymExecutor() = default;
 
 LocId CSymExecutor::newObject(const CType *Ty, std::string Name) {
   Objects.push_back({Ty, std::move(Name)});
@@ -300,7 +309,7 @@ void CSymExecutor::dispatchCall(const CCall *Call, const CFuncDecl *Callee,
   if (!Callee->isDefined() || Depth >= Opts.MaxCallDepth) {
     if (Callee->isDefined())
       IncompleteThisRun = true; // depth budget truncated the inlining
-    Out.push_back(externCall(Call, Callee, Args, std::move(State)));
+    Out.push_back(externCall(Callee, std::move(State)));
     return;
   }
 
@@ -347,9 +356,7 @@ CSymExecutor::inlineCall(const CFuncDecl *F,
   return Out;
 }
 
-CSymExecutor::Flow CSymExecutor::externCall(const CCall *Call,
-                                            const CFuncDecl *Callee,
-                                            const std::vector<CSymValue> &,
+CSymExecutor::Flow CSymExecutor::externCall(const CFuncDecl *Callee,
                                             CSymState State) {
   // Conservative model of an unknown body: no memory effects, a fresh
   // result shaped by the declared return type and its annotations.
@@ -358,17 +365,7 @@ CSymExecutor::Flow CSymExecutor::externCall(const CCall *Call,
   CSymValue Ret = RetTy && RetTy->isPointer()
                       ? lazyInit(RetTy, Name)
                       : CSymValue::scalar(Terms.freshIntVar(Name));
-  (void)Call;
   return {std::move(State), std::move(Ret)};
-}
-
-// === bodies ==================================================================
-
-std::vector<CSymState> CSymExecutor::runBody(const CFuncDecl *F,
-                                             CSymState State,
-                                             unsigned Depth) {
-  assert(Engine && "no body engine installed (concolic::makeCBodyEngine)");
-  return Engine->runBody(F, std::move(State), Depth);
 }
 
 // === entry point =============================================================

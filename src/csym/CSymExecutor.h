@@ -30,6 +30,7 @@
 #define MIX_CSYM_CSYMEXECUTOR_H
 
 #include "csym/CSymValue.h"
+#include "observe/Metrics.h"
 #include "provenance/Provenance.h"
 #include "solver/AssertionStack.h"
 #include "support/Diagnostics.h"
@@ -38,6 +39,14 @@
 #include <set>
 #include <string>
 #include <vector>
+
+namespace mix::obs {
+class RequestTelemetry;
+}
+
+namespace mix::ir {
+struct CIrFunction;
+}
 
 namespace mix::c {
 
@@ -78,22 +87,6 @@ public:
                                  CSymValue &RetOut) = 0;
 };
 
-/// The function-body engine. The IR interpreter (src/concolic/
-/// CIrExecutor) is the one implementation; CSymExecutor routes every body
-/// — the entry function's and each inlined callee's — through it. The
-/// interface exists only to break the library cycle (the engine lives in
-/// mix_concolic, which links mix_csym): the engine drives the executor
-/// purely through its public adapter API below.
-class CBodyEngine {
-public:
-  virtual ~CBodyEngine() = default;
-
-  /// Executes \p F's body from \p State at inline depth \p Depth and
-  /// returns the resulting paths.
-  virtual std::vector<CSymState> runBody(const CFuncDecl *F, CSymState State,
-                                         unsigned Depth) = 0;
-};
-
 /// Tuning knobs.
 struct CSymOptions {
   unsigned LoopBound = 8;
@@ -110,6 +103,12 @@ struct CSymOptions {
   /// gets a witness path (trail, feasible null path condition, and a
   /// solver model for it). Null — the default — records nothing.
   prov::ProvenanceSink *Prov = nullptr;
+  /// Registry for the body counters (exec.paths, ir.lower.hits,
+  /// ir.lower.misses); null records nothing.
+  obs::MetricsRegistry *Metrics = nullptr;
+  /// Per-request telemetry: bytecode lowering is charged to its ir-lower
+  /// phase. Null costs one branch per lowering.
+  obs::RequestTelemetry *Telemetry = nullptr;
 };
 
 /// Result of symbolically executing one function.
@@ -147,17 +146,21 @@ enum class NullSeed {
 
 /// The executor. One instance per analysis run; warnings deduplicate
 /// across runFunction calls.
+///
+/// It has two halves. The state layer (the private helpers below, in
+/// CSymExecutor.cpp) owns the lazy-init store, pointer case analysis,
+/// feasibility checks and deduplicated warnings with witness provenance.
+/// The body interpreter (CSymInterp.cpp) runs every function body — the
+/// entry function's and each inlined callee's — over the mini-C bytecode
+/// of src/ir/, lowering each function once.
 class CSymExecutor {
 public:
   CSymExecutor(const CProgram &Program, CAstContext &Ctx,
                DiagnosticEngine &Diags, smt::TermArena &Terms,
                smt::ISolver &Solver, CSymOptions Opts = CSymOptions());
+  ~CSymExecutor();
 
   void setTypedCallHook(TypedCallHook *Hook) { this->Hook = Hook; }
-
-  /// Installs the body-execution engine (concolic::makeCBodyEngine does
-  /// this). Every run needs one.
-  void setBodyEngine(CBodyEngine *Engine) { this->Engine = Engine; }
 
   /// Executes \p F with symbolic arguments. \p ParamSeeds gives the
   /// nullability of pointer parameters and \p GlobalSeeds that of
@@ -184,12 +187,6 @@ public:
                                             LocId Loc,
                                             const std::string &Field);
 
-  /// Declared type of a cell (object type or struct field type).
-  const CType *cellType(LocId Loc, const std::string &Field) const;
-
-  /// Allocates a fresh object of type \p Ty (exposed for the hook).
-  LocId newObject(const CType *Ty, std::string Name);
-
   /// Havocs the entire store of \p State: every cell re-initializes
   /// lazily on next access (MIXY "has to consider the entire memory when
   /// switching", Section 4.6).
@@ -201,9 +198,11 @@ public:
                           const std::string &Name);
 
   smt::TermArena &terms() { return Terms; }
-  smt::ISolver &solver() { return Solver; }
-  DiagnosticEngine &diags() { return Diags; }
-  const CProgram &program() const { return Program; }
+
+  /// The state's path condition as one term.
+  const smt::Term *pathTerm(const CSymState &State) {
+    return State.PC.folded(Terms);
+  }
 
   /// Seeds the cross-run warning dedup set without reporting anything.
   /// Returns true when the warning was not yet recorded. MIXY uses this
@@ -224,12 +223,8 @@ public:
   };
   const Stats &stats() const { return Statistics; }
 
-  // --- adapter API -------------------------------------------------------
-  //
-  // The memory-model/diagnostics surface the CBodyEngine drives. This is
-  // the executor's role: the *state* layer (lazy-init store, pointer case
-  // analysis, feasibility checks, deduplicated warnings with witness
-  // provenance) while the engine owns instruction dispatch.
+private:
+  // --- state layer (CSymExecutor.cpp) -------------------------------------
 
   /// A state paired with the value an expression produced on that path.
   struct Flow {
@@ -244,6 +239,11 @@ public:
     std::string Field;
   };
 
+  /// Declared type of a cell (object type or struct field type).
+  const CType *cellType(LocId Loc, const std::string &Field) const;
+  /// Allocates a fresh object of type \p Ty.
+  LocId newObject(const CType *Ty, std::string Name);
+
   /// Dispatches a call with evaluated arguments to a known callee: typed
   /// hook, nonnull-argument checks, extern modelling, or inlining. \p Depth
   /// is the inline depth of the calling body.
@@ -251,8 +251,10 @@ public:
                     const std::vector<CSymValue> &Args, CSymState State,
                     unsigned Depth, std::vector<Flow> &Out);
   /// Conservative model of a call that cannot be inlined.
-  Flow externCall(const CCall *Call, const CFuncDecl *Callee,
-                  const std::vector<CSymValue> &Args, CSymState State);
+  Flow externCall(const CFuncDecl *Callee, CSymState State);
+  std::vector<Flow> inlineCall(const CFuncDecl *F,
+                               const std::vector<CSymValue> &Args,
+                               CSymState State, unsigned Depth);
 
   /// Applies \p Op to already-evaluated operand values.
   CSymValue evalBinaryValues(CBinaryOp Op, const CSymValue &L,
@@ -282,10 +284,6 @@ public:
   /// branch condition being tested) asserted in a temporary frame, so the
   /// synced path prefix is reused across probes on the same state.
   bool feasibleWith(const CSymState &State, const smt::Term *Extra);
-  /// The state's path condition as one term.
-  const smt::Term *pathTerm(const CSymState &State) {
-    return State.PC.folded(Terms);
-  }
   /// Conjoins \p Cond onto the state's path condition.
   void extendPath(CSymState &State, const smt::Term *Cond) {
     State.PC = State.PC.extend(Terms, Cond);
@@ -300,32 +298,71 @@ public:
             const CSymState *State = nullptr,
             const smt::Term *WitnessCond = nullptr);
 
-  const CSymOptions &options() const { return Opts; }
-  CAstContext &context() { return Ctx; }
+  // --- body interpreter (CSymInterp.cpp) ----------------------------------
 
-  /// The statement-entry budget check: too many paths explored this run?
-  bool pathBudgetExceeded() const { return PathsThisRun > Opts.MaxPaths; }
-  /// Marks the current run's enumeration as non-exhaustive.
-  void noteIncomplete() { IncompleteThisRun = true; }
-  /// Counts a feasible branch outcome (both sides of a fork count).
-  void notePathExplored() {
-    ++PathsThisRun;
-    ++Statistics.PathsExplored;
+  /// A register value: the CSymValue an expression produced, or the
+  /// guarded cell list an lvalue resolved to. (No concrete shadows:
+  /// mini-C execution cost is dominated by solver terms and store
+  /// copies.)
+  struct RegVal {
+    enum class K : uint8_t { Invalid, Val, Cells };
+    K Kind = K::Invalid;
+    CSymValue V;
+    std::vector<LVal> Cells;
+  };
+
+  /// One path outcome of running (part of) a region: a final state plus
+  /// the register file the enclosing region resumes with. There are no
+  /// error outcomes: a dead path simply produces no outcome.
+  struct Outcome {
+    CSymState S;
+    std::vector<RegVal> Regs;
+    RegVal Value;
+  };
+
+  static RegVal val(CSymValue V) {
+    RegVal R;
+    R.Kind = RegVal::K::Val;
+    R.V = std::move(V);
+    return R;
   }
-  /// Counts an infeasible branch outcome pruned by the solver.
-  void noteForkPruned() { ++Statistics.ForksPruned; }
-  /// Counts a null-dereference feasibility check.
-  void noteNullCheck() { ++Statistics.NullChecks; }
+  static RegVal cells(std::vector<LVal> C) {
+    RegVal R;
+    R.Kind = RegVal::K::Cells;
+    R.Cells = std::move(C);
+    return R;
+  }
 
-private:
-  /// Executes \p F's body at inline depth \p Depth through the installed
-  /// engine. Both runFunction and inlineCall route bodies through here.
+  /// Executes \p F's body from \p State at inline depth \p Depth and
+  /// returns the resulting paths. Both runFunction and inlineCall route
+  /// bodies through here.
   std::vector<CSymState> runBody(const CFuncDecl *F, CSymState State,
                                  unsigned Depth);
-
-  std::vector<Flow> inlineCall(const CFuncDecl *F,
-                               const std::vector<CSymValue> &Args,
-                               CSymState State, unsigned Depth);
+  /// Runs one state through instructions [From, End) of region \p R; a
+  /// successful outcome is a fall-through at End.
+  std::vector<Outcome> runSegment(const ir::CIrFunction &F, uint32_t R,
+                                  std::vector<RegVal> Regs, CSymState S,
+                                  size_t From, size_t End);
+  /// Resumes region \p R after multi-outcome instruction \p I, honoring
+  /// the continuation barriers of CRegion::Spans.
+  std::vector<Outcome> continueSegment(const ir::CIrFunction &F, uint32_t R,
+                                       size_t I, uint32_t Dst,
+                                       std::vector<Outcome> Outs, size_t End);
+  /// Runs a whole sub-region with a copy of the register file.
+  std::vector<Outcome> runRegion(const ir::CIrFunction &F, uint32_t R,
+                                 const std::vector<RegVal> &Regs,
+                                 CSymState S);
+  std::vector<Outcome> execCall(const ir::CIrFunction &F, uint32_t R,
+                                size_t I, const std::vector<RegVal> &Regs,
+                                CSymState S);
+  std::vector<Outcome> execBranch(const ir::CIrFunction &F, uint32_t R,
+                                  size_t I, std::vector<RegVal> Regs,
+                                  CSymState S, size_t End);
+  std::vector<Outcome> execLoop(const ir::CIrFunction &F, uint32_t R,
+                                size_t I, std::vector<RegVal> Regs,
+                                CSymState S, size_t End);
+  /// One-time lowering per function.
+  const ir::CIrFunction &lowered(const CFuncDecl *Fn);
 
   const CProgram &Program;
   CAstContext &Ctx;
@@ -335,7 +372,6 @@ private:
   std::unique_ptr<smt::AssertionStack> Stack;
   CSymOptions Opts;
   TypedCallHook *Hook = nullptr;
-  CBodyEngine *Engine = nullptr;
 
   struct ObjInfo {
     const CType *Ty;
@@ -349,6 +385,14 @@ private:
   bool IncompleteThisRun = false;
   unsigned PathsThisRun = 0;
   Stats Statistics;
+
+  /// Inline depth of the body currently being interpreted. Saved and
+  /// restored around nested runBody entries (an inlined call re-enters
+  /// through inlineCall).
+  unsigned CurDepth = 0;
+  std::map<const CFuncDecl *, std::unique_ptr<ir::CIrFunction>> LoweredCache;
+  obs::Counter CExecPaths;
+  obs::Counter CLowerHits, CLowerMisses;
 };
 
 } // namespace mix::c

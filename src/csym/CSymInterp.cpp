@@ -1,11 +1,14 @@
-//===--- CIrExecutor.cpp - Concolic interpreter for mini-C bodies ---------===//
+//===--- CSymInterp.cpp - Bytecode interpreter for mini-C bodies ----------===//
 //
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
 //
 //===----------------------------------------------------------------------===//
 //
-// One case per opcode. The order of warnings, fresh terms, objects,
+// The body half of CSymExecutor: an interpreter over the ir::CIrFunction
+// bytecode, one case per opcode. It owns instruction dispatch and
+// continuation order; the state layer in CSymExecutor.cpp owns memory,
+// feasibility and warnings. The order of warnings, fresh terms, objects,
 // trail entries and budget trips is part of the observable output and
 // is pinned by the CLI goldens and tests/CIrDiffTest.cpp. A dead path
 // returns zero outcomes.
@@ -17,18 +20,16 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "concolic/CIrExecutor.h"
+#include "csym/CSymExecutor.h"
+
+#include "ir/CIr.h"
+#include "observe/Phase.h"
 
 #include <algorithm>
 #include <cassert>
 
 using namespace mix;
-using namespace mix::concolic;
-using mix::c::CSymState;
-using mix::c::CSymValue;
-using mix::c::LocId;
-using mix::c::PtrCase;
-using mix::c::PtrTarget;
+using namespace mix::c;
 using mix::smt::Term;
 
 namespace {
@@ -72,33 +73,23 @@ continueWithBarriers(const std::vector<std::pair<uint32_t, uint32_t>> &Spans,
 
 } // namespace
 
-CIrExecutor::CIrExecutor(c::CSymExecutor &Exec, obs::MetricsRegistry *Metrics,
-                         obs::RequestTelemetry *Telemetry)
-    : Exec(Exec), Telemetry(Telemetry) {
-  if (Metrics) {
-    CExecPaths = Metrics->counter("exec.paths");
-    CLowerHits = Metrics->counter("ir.lower.hits");
-    CLowerMisses = Metrics->counter("ir.lower.misses");
-  }
-}
-
-const ir::CIrFunction &CIrExecutor::lowered(const c::CFuncDecl *Fn) {
+const ir::CIrFunction &CSymExecutor::lowered(const CFuncDecl *Fn) {
   auto It = LoweredCache.find(Fn);
   if (It != LoweredCache.end()) {
     CLowerHits.inc();
     return *It->second;
   }
-  obs::PhaseTimer Timer(Telemetry, obs::Phase::IrLower);
+  obs::PhaseTimer Timer(Opts.Telemetry, obs::Phase::IrLower);
   CLowerMisses.inc();
-  std::unique_ptr<ir::CIrFunction> F = ir::lowerC(Fn, Exec.program());
+  std::unique_ptr<ir::CIrFunction> F = ir::lowerC(Fn, Program);
   assert(F && ir::verifyC(*F).empty() &&
          "lowering produced ill-formed bytecode");
   return *LoweredCache.emplace(Fn, std::move(F)).first->second;
 }
 
-std::vector<CSymState> CIrExecutor::runBody(const c::CFuncDecl *Fn,
-                                            CSymState State,
-                                            unsigned Depth) {
+std::vector<CSymState> CSymExecutor::runBody(const CFuncDecl *Fn,
+                                             CSymState State,
+                                             unsigned Depth) {
   const ir::CIrFunction &F = lowered(Fn);
 
   unsigned SavedDepth = CurDepth;
@@ -118,16 +109,16 @@ std::vector<CSymState> CIrExecutor::runBody(const c::CFuncDecl *Fn,
   return Out;
 }
 
-std::vector<CIrExecutor::Outcome>
-CIrExecutor::runRegion(const ir::CIrFunction &F, uint32_t R,
-                       const std::vector<RegVal> &Regs, CSymState S) {
+std::vector<CSymExecutor::Outcome>
+CSymExecutor::runRegion(const ir::CIrFunction &F, uint32_t R,
+                        const std::vector<RegVal> &Regs, CSymState S) {
   return runSegment(F, R, Regs, std::move(S), 0, F.Regions[R].Code.size());
 }
 
-std::vector<CIrExecutor::Outcome>
-CIrExecutor::continueSegment(const ir::CIrFunction &F, uint32_t R, size_t I,
-                             uint32_t Dst, std::vector<Outcome> Outs,
-                             size_t End) {
+std::vector<CSymExecutor::Outcome>
+CSymExecutor::continueSegment(const ir::CIrFunction &F, uint32_t R,
+                              size_t I, uint32_t Dst,
+                              std::vector<Outcome> Outs, size_t End) {
   if (Dst != ir::CNoReg)
     for (Outcome &O : Outs)
       O.Regs[Dst] = O.Value;
@@ -144,13 +135,10 @@ CIrExecutor::continueSegment(const ir::CIrFunction &F, uint32_t R, size_t I,
       });
 }
 
-std::vector<CIrExecutor::Outcome>
-CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
-                        std::vector<RegVal> Regs, CSymState S, size_t From,
-                        size_t End) {
-  smt::TermArena &T = Exec.terms();
-  const c::CProgram &Program = Exec.program();
-
+std::vector<CSymExecutor::Outcome>
+CSymExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
+                         std::vector<RegVal> Regs, CSymState S, size_t From,
+                         size_t End) {
   for (size_t I = From; I < End; ++I) {
     const ir::CInstr &In = F.Regions[R].Code[I];
     switch (In.Op) {
@@ -162,8 +150,8 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
         I = (size_t)In.Imm - 1;
         break;
       }
-      if (Exec.pathBudgetExceeded()) {
-        Exec.noteIncomplete();
+      if (PathsThisRun > Opts.MaxPaths) {
+        IncompleteThisRun = true;
         assert((size_t)In.Imm <= End && "skip target crosses a barrier");
         I = (size_t)In.Imm - 1;
         break;
@@ -171,52 +159,52 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
       break;
     }
     case ir::COpcode::CConstInt:
-      Regs[In.Dst] = val(CSymValue::scalar(T.intConst(In.Imm)));
+      Regs[In.Dst] = val(CSymValue::scalar(Terms.intConst(In.Imm)));
       break;
     case ir::COpcode::CStr: {
-      LocId Obj = Exec.newObject(Exec.context().charType(), "<string>");
+      LocId Obj = newObject(Ctx.charType(), "<string>");
       Regs[In.Dst] =
-          val(CSymValue::pointerTo(T, PtrTarget::object(Obj)));
+          val(CSymValue::pointerTo(Terms, PtrTarget::object(Obj)));
       break;
     }
     case ir::COpcode::CNull:
-      Regs[In.Dst] = val(CSymValue::nullPointer(T));
+      Regs[In.Dst] = val(CSymValue::nullPointer(Terms));
       break;
     case ir::COpcode::CLoadIdent: {
       const std::string &Name = F.Names[In.Aux];
       // Function names decay to function pointers unless shadowed.
       if (!S.Locals.count(Name) && !Program.findGlobal(Name))
-        if (const c::CFuncDecl *Fn = Program.findFunc(Name)) {
+        if (const CFuncDecl *Fn = Program.findFunc(Name)) {
           Regs[In.Dst] =
-              val(CSymValue::pointerTo(T, PtrTarget::function(Fn)));
+              val(CSymValue::pointerTo(Terms, PtrTarget::function(Fn)));
           break;
         }
-      LocId Loc = c::NoLoc;
+      LocId Loc = NoLoc;
       auto It = S.Locals.find(Name);
       if (It != S.Locals.end())
         Loc = It->second;
       else if (Program.findGlobal(Name))
-        Loc = Exec.globalLoc(Name);
-      if (Loc == c::NoLoc) {
-        Exec.warn(In.Loc, "unknown variable '" + Name + "'");
+        Loc = globalLoc(Name);
+      if (Loc == NoLoc) {
+        warn(In.Loc, "unknown variable '" + Name + "'");
         return {}; // the path dies
       }
-      Regs[In.Dst] = val(Exec.readCell(S, Loc, ""));
+      Regs[In.Dst] = val(readCell(S, Loc, ""));
       break;
     }
     case ir::COpcode::CLValIdent: {
       const std::string &Name = F.Names[In.Aux];
-      LocId Loc = c::NoLoc;
+      LocId Loc = NoLoc;
       auto It = S.Locals.find(Name);
       if (It != S.Locals.end())
         Loc = It->second;
       else if (Program.findGlobal(Name))
-        Loc = Exec.globalLoc(Name);
-      if (Loc == c::NoLoc) {
-        Exec.warn(In.Loc, "unknown variable '" + Name + "'");
+        Loc = globalLoc(Name);
+      if (Loc == NoLoc) {
+        warn(In.Loc, "unknown variable '" + Name + "'");
         return {};
       }
-      Regs[In.Dst] = cells({{T.trueTerm(), Loc, ""}});
+      Regs[In.Dst] = cells({{Terms.trueTerm(), Loc, ""}});
       break;
     }
     case ir::COpcode::CLValDeref:
@@ -224,22 +212,22 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
       const CSymValue &V = Regs[In.A].V;
       bool Arrow = In.Op == ir::COpcode::CLValArrow;
       if (!V.isPtr()) {
-        Exec.warn(In.Loc, Arrow ? "'->' on a non-pointer value"
-                                : "dereference of a non-pointer value");
+        warn(In.Loc, Arrow ? "'->' on a non-pointer value"
+                           : "dereference of a non-pointer value");
         return {};
       }
-      if (Exec.options().CheckDereferences) {
-        Exec.noteNullCheck();
-        const Term *NullG = V.nullGuard(T);
-        if (Exec.feasibleWith(S, NullG))
-          Exec.warn(In.Loc, "possible null dereference", &S,
-                    T.andTerm(Exec.pathTerm(S), NullG));
+      if (Opts.CheckDereferences) {
+        ++Statistics.NullChecks;
+        const Term *NullG = V.nullGuard(Terms);
+        if (feasibleWith(S, NullG))
+          warn(In.Loc, "possible null dereference", &S,
+               Terms.andTerm(pathTerm(S), NullG));
       }
       // Continue under the assumption the dereference survived.
-      Exec.extendPath(S, V.nonNullGuard(T));
-      if (!Exec.feasible(S))
+      extendPath(S, V.nonNullGuard(Terms));
+      if (!feasible(S))
         return {}; // definitely null: this path dies here
-      std::vector<c::CSymExecutor::LVal> Cs;
+      std::vector<LVal> Cs;
       for (const PtrCase &C : V.cases()) {
         if (C.Target.K != PtrTarget::Kind::Object)
           continue;
@@ -257,26 +245,25 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
     }
     case ir::COpcode::CLValField: {
       // base.field: extend the base cells' field paths.
-      std::vector<c::CSymExecutor::LVal> Cs = Regs[In.A].Cells;
+      std::vector<LVal> Cs = Regs[In.A].Cells;
       const std::string &Fld = F.Names[In.Aux];
-      for (c::CSymExecutor::LVal &Cell : Cs)
-        Cell.Field =
-            Cell.Field.empty() ? Fld : Cell.Field + "." + Fld;
+      for (LVal &Cell : Cs)
+        Cell.Field = Cell.Field.empty() ? Fld : Cell.Field + "." + Fld;
       Regs[In.Dst] = cells(std::move(Cs));
       break;
     }
     case ir::COpcode::CNotLValue:
-      Exec.warn(In.Loc, "expression is not an lvalue");
+      warn(In.Loc, "expression is not an lvalue");
       return {};
     case ir::COpcode::CReadMerged: {
-      const std::vector<c::CSymExecutor::LVal> &Cs = Regs[In.A].Cells;
+      const std::vector<LVal> &Cs = Regs[In.A].Cells;
       if (Cs.empty())
         return {}; // an lvalue with no cells reads nothing
-      CSymValue Acc = Exec.readCell(S, Cs[0].Loc, Cs[0].Field);
+      CSymValue Acc = readCell(S, Cs[0].Loc, Cs[0].Field);
       for (size_t K = 1; K != Cs.size(); ++K) {
-        CSymValue Next = Exec.readCell(S, Cs[K].Loc, Cs[K].Field);
+        CSymValue Next = readCell(S, Cs[K].Loc, Cs[K].Field);
         if (Next.kind() == Acc.kind())
-          Acc = CSymValue::ite(T, Cs[K].Guard, Next, Acc);
+          Acc = CSymValue::ite(Terms, Cs[K].Guard, Next, Acc);
       }
       Regs[In.Dst] = val(std::move(Acc));
       break;
@@ -296,32 +283,32 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
         }
       }
       if (!V.isPtr()) {
-        Exec.warn(In.Loc, "dereference of a non-pointer value");
+        warn(In.Loc, "dereference of a non-pointer value");
         return {};
       }
       // Reading through a data pointer: null check, then merge the
       // possible cells' contents.
-      if (Exec.options().CheckDereferences) {
-        Exec.noteNullCheck();
-        const Term *NullG = V.nullGuard(T);
-        if (Exec.feasibleWith(S, NullG))
-          Exec.warn(In.Loc, "possible null dereference", &S,
-                    T.andTerm(Exec.pathTerm(S), NullG));
+      if (Opts.CheckDereferences) {
+        ++Statistics.NullChecks;
+        const Term *NullG = V.nullGuard(Terms);
+        if (feasibleWith(S, NullG))
+          warn(In.Loc, "possible null dereference", &S,
+               Terms.andTerm(pathTerm(S), NullG));
       }
-      Exec.extendPath(S, V.nonNullGuard(T));
-      if (!Exec.feasible(S))
+      extendPath(S, V.nonNullGuard(Terms));
+      if (!feasible(S))
         return {};
       CSymValue Acc;
       bool First = true;
       for (const PtrCase &C : V.cases()) {
         if (C.Target.K != PtrTarget::Kind::Object)
           continue;
-        CSymValue Next = Exec.readCell(S, C.Target.Loc, C.Target.Field);
+        CSymValue Next = readCell(S, C.Target.Loc, C.Target.Field);
         if (First) {
           Acc = std::move(Next);
           First = false;
         } else if (Next.kind() == Acc.kind()) {
-          Acc = CSymValue::ite(T, C.Guard, Next, Acc);
+          Acc = CSymValue::ite(Terms, C.Guard, Next, Acc);
         }
       }
       if (First)
@@ -331,7 +318,7 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
     }
     case ir::COpcode::CAddrOf: {
       std::vector<PtrCase> Cases;
-      for (const c::CSymExecutor::LVal &Cell : Regs[In.A].Cells)
+      for (const LVal &Cell : Regs[In.A].Cells)
         Cases.push_back(
             {Cell.Guard, PtrTarget::object(Cell.Loc, Cell.Field)});
       if (Cases.empty())
@@ -341,38 +328,38 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
     }
     case ir::COpcode::CNot:
       Regs[In.Dst] =
-          val(CSymValue::scalar(T.notTerm(Exec.truthTerm(Regs[In.A].V))));
+          val(CSymValue::scalar(Terms.notTerm(truthTerm(Regs[In.A].V))));
       break;
     case ir::COpcode::CNeg:
       Regs[In.Dst] =
-          val(CSymValue::scalar(T.neg(Exec.intTerm(Regs[In.A].V))));
+          val(CSymValue::scalar(Terms.neg(intTerm(Regs[In.A].V))));
       break;
     case ir::COpcode::CBinOp:
       Regs[In.Dst] =
-          val(Exec.evalBinaryValues(In.BOp, Regs[In.A].V, Regs[In.B].V));
+          val(evalBinaryValues(In.BOp, Regs[In.A].V, Regs[In.B].V));
       break;
     case ir::COpcode::CStoreCells:
-      Exec.writeCells(S, Regs[In.A].Cells, Regs[In.B].V);
+      writeCells(S, Regs[In.A].Cells, Regs[In.B].V);
       break;
     case ir::COpcode::CMalloc: {
-      const c::CType *Pointee = In.Ty;
+      const CType *Pointee = In.Ty;
       if (!Pointee || Pointee->isVoid())
-        Pointee = Exec.context().intType();
-      LocId Obj = Exec.newObject(Pointee, F.Names[In.Aux]);
+        Pointee = Ctx.intType();
+      LocId Obj = newObject(Pointee, F.Names[In.Aux]);
       Regs[In.Dst] =
-          val(CSymValue::pointerTo(T, PtrTarget::object(Obj)));
+          val(CSymValue::pointerTo(Terms, PtrTarget::object(Obj)));
       break;
     }
     case ir::COpcode::CDeclLocal: {
-      LocId Loc = Exec.newObject(In.Ty, F.Names[In.Aux2]);
+      LocId Loc = newObject(In.Ty, F.Names[In.Aux2]);
       S.Locals[F.Names[In.Aux]] = Loc;
       S.LocalTypes[F.Names[In.Aux]] = In.Ty;
-      Regs[In.Dst] = cells({{T.trueTerm(), Loc, ""}});
+      Regs[In.Dst] = cells({{Terms.trueTerm(), Loc, ""}});
       break;
     }
     case ir::COpcode::CInitLocal: {
       // Strong update of the freshly declared cell.
-      const c::CSymExecutor::LVal &Cell = Regs[In.A].Cells[0];
+      const LVal &Cell = Regs[In.A].Cells[0];
       S.Store.set({Cell.Loc, Cell.Field}, Regs[In.B].V);
       break;
     }
@@ -387,7 +374,7 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
     case ir::COpcode::CReturn: {
       S.Returned = true;
       S.RetValue = In.A == ir::CNoReg
-                       ? CSymValue::scalar(T.intConst(0))
+                       ? CSymValue::scalar(Terms.intConst(0))
                        : Regs[In.A].V;
       break;
     }
@@ -403,9 +390,9 @@ CIrExecutor::runSegment(const ir::CIrFunction &F, uint32_t R,
   return Res;
 }
 
-std::vector<CIrExecutor::Outcome>
-CIrExecutor::execCall(const ir::CIrFunction &F, uint32_t R, size_t I,
-                      const std::vector<RegVal> &Regs, CSymState S) {
+std::vector<CSymExecutor::Outcome>
+CSymExecutor::execCall(const ir::CIrFunction &F, uint32_t R, size_t I,
+                       const std::vector<RegVal> &Regs, CSymState S) {
   const ir::CInstr &In = F.Regions[R].Code[I];
 
   std::vector<CSymValue> Args;
@@ -413,54 +400,51 @@ CIrExecutor::execCall(const ir::CIrFunction &F, uint32_t R, size_t I,
   for (uint32_t K = 0; K < In.ArgsCount; ++K)
     Args.push_back(Regs[F.ArgRegs[In.ArgsBegin + K]].V);
 
-  std::vector<c::CSymExecutor::Flow> Flows;
+  std::vector<Flow> Flows;
   if (In.Callee) {
-    Exec.dispatchCall(In.CallNode, In.Callee, Args, std::move(S), CurDepth,
-                      Flows);
+    dispatchCall(In.CallNode, In.Callee, Args, std::move(S), CurDepth, Flows);
   } else {
     // Indirect call: fork per feasible callee-pointer target.
     const CSymValue &CV = Regs[In.A].V;
     if (!CV.isPtr()) {
-      Exec.warn(In.Loc, "call through a non-pointer value");
+      warn(In.Loc, "call through a non-pointer value");
       return {};
     }
     bool AnyTarget = false;
     for (const PtrCase &C : CV.cases()) {
-      if (!Exec.feasibleWith(S, C.Guard))
+      if (!feasibleWith(S, C.Guard))
         continue;
       CSymState Branch = S;
-      Exec.extendPath(Branch, C.Guard);
+      extendPath(Branch, C.Guard);
       switch (C.Target.K) {
       case PtrTarget::Kind::Function:
         AnyTarget = true;
-        Exec.dispatchCall(In.CallNode, C.Target.Fn, Args, std::move(Branch),
-                          CurDepth, Flows);
+        dispatchCall(In.CallNode, C.Target.Fn, Args, std::move(Branch),
+                     CurDepth, Flows);
         break;
       case PtrTarget::Kind::UnknownFn: {
         AnyTarget = true;
-        Exec.warn(In.Loc,
-                  "call through unknown function pointer cannot be "
-                  "executed symbolically; consider MIX(typed)",
-                  &Branch);
-        Flows.push_back(
-            Exec.externCall(In.CallNode, nullptr, Args, std::move(Branch)));
+        warn(In.Loc,
+             "call through unknown function pointer cannot be "
+             "executed symbolically; consider MIX(typed)",
+             &Branch);
+        Flows.push_back(externCall(nullptr, std::move(Branch)));
         break;
       }
       case PtrTarget::Kind::Null:
-        Exec.warn(In.Loc, "possible call through null function pointer",
-                  &Branch);
+        warn(In.Loc, "possible call through null function pointer", &Branch);
         break;
       case PtrTarget::Kind::Object:
         break;
       }
     }
     if (!AnyTarget)
-      Exec.warn(In.Loc, "indirect call has no callable target");
+      warn(In.Loc, "indirect call has no callable target");
   }
 
   std::vector<Outcome> Outs;
   Outs.reserve(Flows.size());
-  for (c::CSymExecutor::Flow &Fl : Flows) {
+  for (Flow &Fl : Flows) {
     Outcome O;
     O.S = std::move(Fl.State);
     O.Regs = Regs;
@@ -470,32 +454,33 @@ CIrExecutor::execCall(const ir::CIrFunction &F, uint32_t R, size_t I,
   return Outs;
 }
 
-std::vector<CIrExecutor::Outcome>
-CIrExecutor::execBranch(const ir::CIrFunction &F, uint32_t R, size_t I,
-                        std::vector<RegVal> Regs, CSymState S, size_t End) {
-  smt::TermArena &T = Exec.terms();
+std::vector<CSymExecutor::Outcome>
+CSymExecutor::execBranch(const ir::CIrFunction &F, uint32_t R, size_t I,
+                         std::vector<RegVal> Regs, CSymState S, size_t End) {
   const ir::CInstr &In = F.Regions[R].Code[I];
-  const Term *Cond = Exec.truthTerm(Regs[In.A].V);
+  const Term *Cond = truthTerm(Regs[In.A].V);
 
   std::vector<Outcome> Outs;
-  if (Exec.feasibleWith(S, Cond)) {
-    Exec.notePathExplored();
+  if (feasibleWith(S, Cond)) {
+    ++PathsThisRun;
+    ++Statistics.PathsExplored;
     CSymState Then = S;
-    Exec.extendPath(Then, Cond);
-    if (Exec.options().Prov)
+    extendPath(Then, Cond);
+    if (Opts.Prov)
       Then.Trail.push_back({In.Loc2, "condition true"});
     for (Outcome &O : runRegion(F, In.R1, Regs, std::move(Then)))
       Outs.push_back(std::move(O));
   } else {
-    Exec.noteForkPruned();
+    ++Statistics.ForksPruned;
   }
 
-  const Term *NotCond = T.notTerm(Cond);
-  if (Exec.feasibleWith(S, NotCond)) {
-    Exec.notePathExplored();
+  const Term *NotCond = Terms.notTerm(Cond);
+  if (feasibleWith(S, NotCond)) {
+    ++PathsThisRun;
+    ++Statistics.PathsExplored;
     CSymState Else = std::move(S);
-    Exec.extendPath(Else, NotCond);
-    if (Exec.options().Prov)
+    extendPath(Else, NotCond);
+    if (Opts.Prov)
       Else.Trail.push_back({In.Loc2, "condition false"});
     if (In.R2 != ir::CNoRegion) {
       for (Outcome &O : runRegion(F, In.R2, Regs, std::move(Else)))
@@ -507,16 +492,15 @@ CIrExecutor::execBranch(const ir::CIrFunction &F, uint32_t R, size_t I,
       Outs.push_back(std::move(O));
     }
   } else {
-    Exec.noteForkPruned();
+    ++Statistics.ForksPruned;
   }
 
   return continueSegment(F, R, I, ir::CNoReg, std::move(Outs), End);
 }
 
-std::vector<CIrExecutor::Outcome>
-CIrExecutor::execLoop(const ir::CIrFunction &F, uint32_t R, size_t I,
-                      std::vector<RegVal> Regs, CSymState S, size_t End) {
-  smt::TermArena &T = Exec.terms();
+std::vector<CSymExecutor::Outcome>
+CSymExecutor::execLoop(const ir::CIrFunction &F, uint32_t R, size_t I,
+                       std::vector<RegVal> Regs, CSymState S, size_t End) {
   const ir::CInstr &In = F.Regions[R].Code[I];
   const ir::CRegion &CondR = F.Regions[In.R1];
 
@@ -533,7 +517,7 @@ CIrExecutor::execLoop(const ir::CIrFunction &F, uint32_t R, size_t I,
   std::vector<Outcome> Exited;
 
   for (unsigned Round = 0;
-       Round != Exec.options().LoopBound && !Active.empty(); ++Round) {
+       Round != Opts.LoopBound && !Active.empty(); ++Round) {
     std::vector<Outcome> NextActive;
     for (Outcome &A : Active) {
       if (A.S.Returned) {
@@ -541,21 +525,21 @@ CIrExecutor::execLoop(const ir::CIrFunction &F, uint32_t R, size_t I,
         continue;
       }
       for (Outcome &C : runRegion(F, In.R1, A.Regs, std::move(A.S))) {
-        const Term *Cond = Exec.truthTerm(C.Regs[CondR.Result].V);
-        const Term *NotCond = T.notTerm(Cond);
-        if (Exec.feasibleWith(C.S, NotCond)) {
+        const Term *Cond = truthTerm(C.Regs[CondR.Result].V);
+        const Term *NotCond = Terms.notTerm(Cond);
+        if (feasibleWith(C.S, NotCond)) {
           Outcome Exit;
           Exit.S = C.S;
           Exit.Regs = C.Regs;
-          Exec.extendPath(Exit.S, NotCond);
-          if (Exec.options().Prov)
+          extendPath(Exit.S, NotCond);
+          if (Opts.Prov)
             Exit.S.Trail.push_back({In.Loc2, "loop exit"});
           Exited.push_back(std::move(Exit));
         }
-        if (Exec.feasibleWith(C.S, Cond)) {
+        if (feasibleWith(C.S, Cond)) {
           CSymState Loop = std::move(C.S);
-          Exec.extendPath(Loop, Cond);
-          if (Exec.options().Prov)
+          extendPath(Loop, Cond);
+          if (Opts.Prov)
             Loop.Trail.push_back({In.Loc2, "loop iteration"});
           for (Outcome &O : runRegion(F, In.R2, C.Regs, std::move(Loop)))
             NextActive.push_back(std::move(O));
@@ -566,19 +550,10 @@ CIrExecutor::execLoop(const ir::CIrFunction &F, uint32_t R, size_t I,
   }
 
   if (!Active.empty()) {
-    Exec.noteIncomplete();
+    IncompleteThisRun = true;
     for (Outcome &A : Active)
       Exited.push_back(std::move(A));
   }
 
   return continueSegment(F, R, I, ir::CNoReg, std::move(Exited), End);
-}
-
-std::unique_ptr<c::CBodyEngine>
-concolic::makeCBodyEngine(c::CSymExecutor &Exec,
-                          obs::MetricsRegistry *Metrics,
-                          obs::RequestTelemetry *Telemetry) {
-  auto Engine = std::make_unique<CIrExecutor>(Exec, Metrics, Telemetry);
-  Exec.setBodyEngine(Engine.get());
-  return Engine;
 }

@@ -37,8 +37,8 @@
 /// keeps the boundary translations, which are the interesting per-domain
 /// code, in the instantiations where the paper puts them.
 ///
-/// The fixpoint driver that re-runs blocks until their calling contexts
-/// settle lives next door in engine/Fixpoint.h.
+/// The Section 4.1 fixpoint that re-runs blocks until their calling
+/// contexts settle is MIXY's own round loop (MixyAnalysis::run).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The mini-C bytecode: `CExpr`/`CStmt` function bodies lowered once per
-/// function and interpreted by the concolic core (src/concolic/
-/// CIrExecutor) against a `CSymState`-backed memory model. It is the only
+/// function and interpreted by CSymExecutor (src/csym/CSymInterp.cpp)
+/// against its `CSymState`-backed memory model. It is the only
 /// way mini-C bodies execute. Its observable behavior — warnings, fresh
 /// term numbering, object allocation order, trails, budget trips — is
 /// pinned by the CLI goldens (tests/golden/) and the frozen digests in
@@ -116,7 +116,7 @@ struct CRegion {
   std::vector<CInstr> Code;
   uint32_t Result = CNoReg;
 
-  /// Continuation barriers (see src/concolic/CIrExecutor.cpp): the
+  /// Continuation barriers (see src/csym/CSymInterp.cpp): the
   /// [start, end) range of every lowered node, plus synthetic *prefix
   /// spans* — [call start, arg K end) per call argument and
   /// [block start, stmt K end) per block statement — so that after an

@@ -7,8 +7,7 @@
 
 #include "mixy/Mixy.h"
 
-#include "concolic/CIrExecutor.h"
-#include "engine/Fixpoint.h"
+#include "observe/Phase.h"
 #include "persist/AstHash.h"
 #include "persist/PersistSession.h"
 #include "persist/RecordFile.h"
@@ -24,6 +23,8 @@ static MixyOptions normalizedOptions(MixyOptions O) {
   O.Smt.Metrics = O.Metrics;
   O.Smt.Trace = O.Trace;
   O.Smt.Telemetry = O.Telemetry;
+  O.Sym.Metrics = O.Metrics;
+  O.Sym.Telemetry = O.Telemetry;
   O.Sym.Prov = O.Prov;
   O.Qual.Prov = O.Prov;
   if (O.Persist)
@@ -77,7 +78,6 @@ MixyAnalysis::MixyAnalysis(const CProgram &Program, CAstContext &Ctx,
                    "parseSolverBackend before constructing)");
   Qual.setSymHook(this);
   Exec.setTypedCallHook(this);
-  BodyEngine = concolic::makeCBodyEngine(Exec, Opts.Metrics, Opts.Telemetry);
 }
 
 MixyAnalysis::~MixyAnalysis() = default;
@@ -987,31 +987,48 @@ unsigned MixyAnalysis::run(StartMode Mode, const std::string &Entry) {
     Qual.analyzeFunction(F);
 
   // Fixpoint (Section 4.1): re-run symbolic blocks whose calling context
-  // changed as constraints accumulated, until nothing changes. Each
-  // site's evaluation sees every earlier one's effects (Gauss-Seidel).
-  engine::FixpointConfig FC;
-  FC.MaxRounds = Opts.MaxFixpointIterations;
-  FC.Trace = Opts.Trace;
-  FC.RoundSpanName = "mixy.round";
-  FC.SpanCategory = "mixy";
-  FC.Metrics = Opts.Metrics;
-  FC.Telemetry = Opts.Telemetry;
-  engine::FixpointDriver Driver(FC);
-
-  engine::FixpointCallbacks CB;
-  CB.NumSites = [&] { return SymCallSites.size(); };
-  CB.OnRoundBegin = [&](unsigned) { Qual.solve(); };
-  CB.Refresh = [&](size_t I) { return refreshSite(I); };
-  CB.Evaluate = [&](size_t I) {
-    // Copy the key before evaluating: a nested frontier call can grow
-    // SymCallSites and invalidate references into it.
-    BlockKey Key = SymCallSites[I].LastKey;
-    SymOutcome Outcome = computeSymOutcome(Key);
-    SymCallSite &Site = SymCallSites[I];
-    applySymOutcome(Outcome, Site.Call, Site.Callee, Site.ArgQuals,
-                    Site.RetQuals);
-  };
-  Statistics.FixpointIterations += Driver.run(CB);
+  // changed as constraints accumulated, until a round changes nothing.
+  // Each site's evaluation sees every earlier one's effects (Gauss-Seidel).
+  // The site count is re-read every round: a nested frontier call met
+  // while a block is evaluated appends a site, which the next round picks
+  // up (indexing also keeps appends from invalidating our position).
+  {
+    obs::PhaseTimer Timer(Opts.Telemetry, obs::Phase::Fixpoint);
+    obs::Counter CRounds, CReruns;
+    if (Opts.Metrics) {
+      CRounds = Opts.Metrics->counter("engine.fixpoint.rounds");
+      CReruns = Opts.Metrics->counter("engine.worklist.reruns");
+    }
+    std::vector<bool> Evaluated; // per site: run earlier in this fixpoint
+    for (unsigned Round = 0; Round != Opts.MaxFixpointIterations; ++Round) {
+      obs::TraceSpan Span(Opts.Trace, "mixy.round", "mixy");
+      if (Opts.Trace)
+        Span.setArgs("{\"round\": " + std::to_string(Round) + "}");
+      Qual.solve();
+      bool Changed = false;
+      size_t N = SymCallSites.size();
+      Evaluated.resize(N);
+      for (size_t I = 0; I != N; ++I) {
+        if (!refreshSite(I))
+          continue;
+        Changed = true;
+        if (Evaluated[I])
+          CReruns.inc();
+        Evaluated[I] = true;
+        // Copy the key before evaluating: a nested frontier call can grow
+        // SymCallSites and invalidate references into it.
+        BlockKey Key = SymCallSites[I].LastKey;
+        SymOutcome Outcome = computeSymOutcome(Key);
+        SymCallSite &Site = SymCallSites[I];
+        applySymOutcome(Outcome, Site.Call, Site.Callee, Site.ArgQuals,
+                        Site.RetQuals);
+      }
+      if (!Changed)
+        break;
+      ++Statistics.FixpointIterations;
+      CRounds.inc();
+    }
+  }
 
   Qual.solve();
   Qual.reportWarnings();

@@ -36,7 +36,7 @@
 /// The analysis runs on one thread. Typed-region inference meets frontier
 /// calls in program order and analyzes each block inline; the Section 4.1
 /// fixpoint then re-runs blocks whose calling context changed, one site
-/// at a time (engine/Fixpoint.h).
+/// at a time (the round loop in MixyAnalysis::run).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -335,8 +335,6 @@ private:
   PointsToAnalysis PtrAnal;
   QualInference Qual;
   CSymExecutor Exec;
-  /// The executor's body engine (the IR interpreter).
-  std::unique_ptr<CBodyEngine> BodyEngine;
 
   /// The shared mix engine: block caches, recursion stack discipline,
   /// and assumption iteration (Sections 4.3 / 4.4).

@@ -1,4 +1,4 @@
-//===--- SolverFactory.h - Solver backend registry --------------*- C++ -*-===//
+//===--- SolverFactory.h - Solver backend selection -------------*- C++ -*-===//
 //
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
@@ -6,9 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Name-keyed registry of solver backends and the SolverSpec the driver
-/// layer parses `--solver=` into. The built-in backends ("smtlite",
-/// "dnf") self-register; tests may register extras.
+/// The solver backends ("dnf", "smtlite") and the SolverSpec the driver
+/// layer parses `--solver=` into.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +16,6 @@
 
 #include "solver/ISolver.h"
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,29 +29,15 @@ struct SolverSpec {
 };
 
 /// Validates and parses a `--solver=` value into \p Out. On failure
-/// returns false with a message (listing the registered backends) in
-/// \p Err.
+/// returns false with a message (listing the backends) in \p Err.
 bool parseSolverBackend(const std::string &Name, SolverSpec &Out,
                         std::string &Err);
 
-/// Registered backend names, sorted (deterministic across runs).
+/// Backend names, sorted (deterministic across runs).
 std::vector<std::string> registeredBackends();
 
-/// Registers a backend factory under \p Name (tests and extensions;
-/// built-ins are pre-registered). Returns false if the name is taken.
-bool registerSolverBackend(
-    const std::string &Name,
-    std::function<std::unique_ptr<ISolver>(TermArena &, const SmtOptions &)>
-        Factory);
-
-/// Creates the plain backend registered under \p Name over \p Arena.
-/// Returns null for an unknown name.
-std::unique_ptr<ISolver> createBackend(const std::string &Name,
-                                       TermArena &Arena,
-                                       const SmtOptions &Opts);
-
-/// Creates the solver \p Spec describes. Returns null for an unknown
-/// backend name.
+/// Creates the solver \p Spec describes over \p Arena. Returns null for
+/// an unknown backend name.
 std::unique_ptr<ISolver> createSolver(const SolverSpec &Spec, TermArena &Arena,
                                       const SmtOptions &Opts);
 

@@ -16,7 +16,6 @@
 #include "cfront/CParser.h"
 #include "cfront/CPrinter.h"
 #include "cfront/CSema.h"
-#include "concolic/CIrExecutor.h"
 #include "csym/CSymExecutor.h"
 #include "observe/Metrics.h"
 #include "solver/SmtSolver.h"
@@ -535,9 +534,9 @@ TEST_P(CDifferentialTest, SymbolicExecutionMatchesInterpretation) {
     mix::smt::SmtSolver Solver(Terms);
     CSymOptions Opts;
     Opts.LoopBound = 16;
-    CSymExecutor Exec(*P, Ctx, Diags, Terms, Solver, Opts);
     mix::obs::MetricsRegistry Reg;
-    auto Engine = mix::concolic::makeCBodyEngine(Exec, &Reg, nullptr);
+    Opts.Metrics = &Reg;
+    CSymExecutor Exec(*P, Ctx, Diags, Terms, Solver, Opts);
     CSymResult R = Exec.runFunction(P->findFunc("main"));
     // The bodies really ran on the IR engine.
     ASSERT_GT(Reg.counterValue("ir.lower.misses"), 0u) << Source;
@@ -752,9 +751,9 @@ TEST_P(CSymbolicDifferentialTest, PathsPartitionInputsAndAgree) {
     mix::smt::SmtSolver Solver(Terms);
     CSymOptions Opts;
     Opts.LoopBound = 16;
-    CSymExecutor Exec(*P, Ctx, Diags, Terms, Solver, Opts);
     mix::obs::MetricsRegistry Reg;
-    auto Engine = mix::concolic::makeCBodyEngine(Exec, &Reg, nullptr);
+    Opts.Metrics = &Reg;
+    CSymExecutor Exec(*P, Ctx, Diags, Terms, Solver, Opts);
     CSymResult R = Exec.runFunction(P->findFunc("main"));
     ASSERT_GT(Reg.counterValue("ir.lower.misses"), 0u) << Source;
     ASSERT_FALSE(R.Incomplete) << Source;

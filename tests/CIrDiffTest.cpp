@@ -17,7 +17,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "cfront/CParser.h"
-#include "concolic/CIrExecutor.h"
 #include "csym/CSymExecutor.h"
 #include "observe/Metrics.h"
 #include "solver/SolverFactory.h"
@@ -56,13 +55,14 @@ CDiffRun runMiniC(const std::string &Source, const std::string &Entry,
   obs::MetricsRegistry Reg;
   smt::SmtOptions SO;
   SO.Metrics = &Reg;
-  std::unique_ptr<smt::ISolver> Solver = smt::createBackend(Backend, Terms, SO);
+  std::unique_ptr<smt::ISolver> Solver =
+      smt::createSolver({Backend}, Terms, SO);
   EXPECT_NE(Solver, nullptr) << Backend;
   if (!Solver)
     return R;
-  c::CSymExecutor Exec(*P, Ctx, Diags, Terms, *Solver);
-  std::unique_ptr<c::CBodyEngine> Engine =
-      concolic::makeCBodyEngine(Exec, &Reg, nullptr);
+  c::CSymOptions Opts;
+  Opts.Metrics = &Reg;
+  c::CSymExecutor Exec(*P, Ctx, Diags, Terms, *Solver, Opts);
 
   c::CSymResult Res = Exec.runFunction(P->findFunc(Entry));
   for (const c::CSymResult::PathOut &PO : Res.Paths) {

@@ -6,7 +6,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "cfront/CParser.h"
-#include "concolic/CIrExecutor.h"
 #include "csym/CSymExecutor.h"
 #include "solver/SmtSolver.h"
 
@@ -31,7 +30,6 @@ protected:
       return ~0u;
     Exec = std::make_unique<CSymExecutor>(*P, Ctx, Diags, Terms, Solver,
                                           Opts);
-    Engine = mix::concolic::makeCBodyEngine(*Exec, nullptr, nullptr);
     Last = Exec->runFunction(P->findFunc(Entry));
     return Last.WarningCount;
   }
@@ -41,7 +39,6 @@ protected:
   mix::smt::TermArena Terms;
   mix::smt::SmtSolver Solver{Terms};
   std::unique_ptr<CSymExecutor> Exec;
-  std::unique_ptr<CBodyEngine> Engine;
   CSymResult Last;
 };
 
@@ -326,7 +323,6 @@ TEST_F(CSymTest, TypedCallHookIntercepts) {
                              Ctx, Diags);
   ASSERT_NE(P, nullptr) << Diags.str();
   CSymExecutor Exec2(*P, Ctx, Diags, Terms, Solver);
-  auto Engine2 = mix::concolic::makeCBodyEngine(Exec2, nullptr, nullptr);
   CountingHook Hook;
   Exec2.setTypedCallHook(&Hook);
   CSymResult R = Exec2.runFunction(P->findFunc("f"));
@@ -410,7 +406,6 @@ TEST_F(CSymTest, GlobalSeedsOverrideDeclarations) {
                              Ctx, Diags);
   ASSERT_NE(P, nullptr) << Diags.str();
   CSymExecutor Exec2(*P, Ctx, Diags, Terms, Solver);
-  auto Engine2 = mix::concolic::makeCBodyEngine(Exec2, nullptr, nullptr);
   // Seeded nonnull: the dereference is clean.
   std::map<std::string, NullSeed> Seeds;
   Seeds["g"] = NullSeed::Nonnull;
@@ -418,7 +413,6 @@ TEST_F(CSymTest, GlobalSeedsOverrideDeclarations) {
   EXPECT_EQ(R.WarningCount, 0u);
   // Seeded maybe-null: it warns.
   CSymExecutor Exec3(*P, Ctx, Diags, Terms, Solver);
-  auto Engine3 = mix::concolic::makeCBodyEngine(Exec3, nullptr, nullptr);
   Seeds["g"] = NullSeed::MayBeNull;
   CSymResult R2 = Exec3.runFunction(P->findFunc("f"), {}, Seeds);
   EXPECT_EQ(R2.WarningCount, 1u);
@@ -513,7 +507,6 @@ void runDeepBranch(uint64_t &Queries, std::string &Diag, unsigned &Warnings) {
   const CProgram *P = parseC(DeepBranchProgram, Ctx, Diags);
   ASSERT_NE(P, nullptr) << Diags.str();
   CSymExecutor Exec(*P, Ctx, Diags, Terms, Solver);
-  auto Engine = mix::concolic::makeCBodyEngine(Exec, nullptr, nullptr);
   CSymResult R = Exec.runFunction(P->findFunc("f"));
   Queries = Solver.queries();
   Diag = Diags.str();

@@ -4,9 +4,10 @@
 // Execution" (PLDI 2010).
 //
 // The engine layer (src/engine/) is the generic recipe every mix
-// instantiation runs through: the Section-4.3 block cache, the
+// instantiation runs through: the Section-4.3 block cache and the
 // Section-4.4 block stack with recursion cut-off and assumption
-// iteration, and the fixpoint scheduler. These tests drive it with a
+// iteration. (MIXY's Section-4.1 fixpoint loop lives in Mixy.cpp and is
+// tested in MixyTest.cpp.) These tests drive it with a
 // formal-MIX-shaped domain — keys are (AST node, typing-context
 // signature) pairs, outcomes are type-like values — so the cut-off and
 // iteration behavior the paper specifies is pinned down independently of
@@ -14,7 +15,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "engine/Fixpoint.h"
 #include "engine/MixEngine.h"
 
 #include <gtest/gtest.h>
@@ -314,128 +314,4 @@ TEST(BlockCacheTest, FirstInsertWinsAndDuplicatesAreCounted) {
   Cache.clear();
   EXPECT_EQ(Cache.size(), 0u);
   EXPECT_FALSE(Cache.lookup(1).has_value());
-}
-
-// --- FixpointDriver ----------------------------------------------------------
-
-namespace {
-
-/// A synthetic monotone constraint system: site i's context is the value
-/// of its input site (site 0 reads an external target), and evaluating a
-/// site copies its context into its value. The least fixpoint sets every
-/// value on a chain to the target.
-struct ChainSystem {
-  explicit ChainSystem(size_t N, int Target) : Target(Target), Ctx(N, -1),
-                                               Val(N, 0) {}
-
-  FixpointCallbacks callbacks() {
-    FixpointCallbacks CB;
-    CB.NumSites = [this] { return Ctx.size(); };
-    CB.Refresh = [this](size_t I) {
-      int New = I == 0 ? Target : Val[I - 1];
-      if (New == Ctx[I])
-        return false;
-      Ctx[I] = New;
-      return true;
-    };
-    CB.Evaluate = [this](size_t I) {
-      Evaluated.push_back(I);
-      Val[I] = Ctx[I];
-    };
-    return CB;
-  }
-
-  int Target;
-  std::vector<int> Ctx, Val;
-  std::vector<size_t> Evaluated;
-};
-
-} // namespace
-
-TEST(FixpointDriverTest, AllSchedulesReachTheSameFixpoint) {
-  // One schedule remains (Gauss-Seidel); it must reach the least
-  // fixpoint, and a chain whose sites are in dependency order settles in
-  // one pass per site plus the confirming round.
-  ChainSystem S(6, 7);
-  obs::MetricsRegistry Metrics;
-  FixpointConfig C;
-  C.Metrics = &Metrics;
-  FixpointDriver D(C);
-  EXPECT_EQ(D.run(S.callbacks()), 1u);
-  for (int V : S.Val)
-    EXPECT_EQ(V, 7);
-  EXPECT_EQ(S.Evaluated, (std::vector<size_t>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(Metrics.counterValue("engine.worklist.reruns"), 0u);
-  EXPECT_EQ(Metrics.counterValue("engine.fixpoint.rounds"), 1u);
-}
-
-TEST(FixpointDriverTest, SerialIteratesCyclesToTheirFixpoint) {
-  // Two mutually dependent sites: site 0 raises its value toward 5 from
-  // site 1's, site 1 copies site 0's. Rounds repeat until both settle
-  // at 5, re-running each site along the way.
-  struct {
-    std::vector<int> Ctx{-1, -1}, Val{0, 0};
-  } S;
-  FixpointCallbacks CB;
-  CB.NumSites = [] { return (size_t)2; };
-  CB.Refresh = [&](size_t I) {
-    int New = I == 0 ? std::min(S.Val[1] + 1, 5) : S.Val[0];
-    if (New == S.Ctx[I])
-      return false;
-    S.Ctx[I] = New;
-    return true;
-  };
-  CB.Evaluate = [&](size_t I) { S.Val[I] = S.Ctx[I]; };
-  obs::MetricsRegistry Metrics;
-  FixpointConfig C;
-  C.Metrics = &Metrics;
-  FixpointDriver D(C);
-  D.run(CB);
-  EXPECT_EQ(S.Val[0], 5);
-  EXPECT_EQ(S.Val[1], 5);
-  EXPECT_GT(Metrics.counterValue("engine.worklist.reruns"), 0u);
-  EXPECT_GT(Metrics.counterValue("engine.fixpoint.rounds"), 0u);
-}
-
-TEST(FixpointDriverTest, SerialStopsAtTheRoundBound) {
-  // A system that never settles stops after MaxRounds rounds.
-  FixpointCallbacks CB;
-  unsigned Evaluations = 0;
-  CB.NumSites = [] { return (size_t)1; };
-  CB.Refresh = [](size_t) { return true; };
-  CB.Evaluate = [&](size_t) { ++Evaluations; };
-  FixpointConfig C;
-  C.MaxRounds = 3;
-  FixpointDriver D(C);
-  EXPECT_EQ(D.run(CB), 3u);
-  EXPECT_EQ(Evaluations, 3u);
-}
-
-TEST(FixpointDriverTest, SerialPicksUpSitesAppendedMidRound) {
-  // A site evaluation that discovers a new site (MIXY: a nested block
-  // hitting a new frontier call) must see it analyzed before the driver
-  // declares a fixpoint.
-  std::vector<int> Ctx(1, -1), Val(1, 0);
-  bool Appended = false;
-  FixpointCallbacks CB;
-  CB.NumSites = [&] { return Ctx.size(); };
-  CB.Refresh = [&](size_t I) {
-    int New = I == 0 ? 1 : Val[0];
-    if (New == Ctx[I])
-      return false;
-    Ctx[I] = New;
-    return true;
-  };
-  CB.Evaluate = [&](size_t I) {
-    Val[I] = Ctx[I];
-    if (I == 0 && !Appended) {
-      Appended = true;
-      Ctx.push_back(-1);
-      Val.push_back(0);
-    }
-  };
-  FixpointDriver D((FixpointConfig()));
-  D.run(CB);
-  ASSERT_EQ(Val.size(), 2u);
-  EXPECT_EQ(Val[1], 1);
 }

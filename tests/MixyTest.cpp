@@ -12,6 +12,7 @@
 #include "cfront/CParser.h"
 #include "mixy/Mixy.h"
 #include "mixy/VsftpdMini.h"
+#include "observe/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -250,6 +251,153 @@ TEST_F(MixyTest, FixpointChainWarnsOncePerSink) {
     EXPECT_NE(LastDiags.find("sysutil_free" + std::to_string(I)),
               std::string::npos)
         << "no warning at sink " << I << ":\n" << LastDiags;
+}
+
+// The round loop itself (MixyAnalysis::run): Gauss-Seidel over the
+// frontier-call sites, re-run until a round changes no calling context.
+// "Rounds" count rounds that changed something; "reruns" count site
+// evaluations beyond each site's first one in the loop.
+
+/// Globals z -> y -> x copied block by block, declared and called in
+/// dependency order, with the sink last.
+static const char *OrderedChainSource = R"(
+void sysutil_free(void * nonnull p_ptr) MIX(typed);
+int *x;
+int *y;
+int *z;
+void null_block(void) MIX(symbolic) {
+  z = NULL;
+}
+void copy_yz(void) MIX(symbolic) {
+  y = z;
+}
+void copy_xy(void) MIX(symbolic) {
+  x = y;
+}
+void use_block(void) MIX(symbolic) {
+  sysutil_free((void*)x);
+}
+int main(void) {
+  null_block();
+  copy_yz();
+  copy_xy();
+  use_block();
+  return 0;
+}
+)";
+
+/// x_from_y and y_from_x feed each other; the null that starts the cycle
+/// arrives last, and the sink reads x first.
+static const char *CycleSource = R"(
+void sysutil_free(void * nonnull p_ptr) MIX(typed);
+int *x;
+int *y;
+void use_block(void) MIX(symbolic) {
+  sysutil_free((void*)x);
+}
+void x_from_y(void) MIX(symbolic) {
+  if (y == NULL)
+    x = NULL;
+}
+void y_from_x(void) MIX(symbolic) {
+  if (x == NULL)
+    y = NULL;
+}
+void null_y(void) MIX(symbolic) {
+  y = NULL;
+}
+int main(void) {
+  use_block();
+  x_from_y();
+  y_from_x();
+  null_y();
+  return 0;
+}
+)";
+
+TEST_F(MixyTest, FixpointOrderedChainSettlesInOneRound) {
+  // Each site's refresh sees every earlier site's effects, so a chain in
+  // dependency order settles in one round of changes (plus the
+  // confirming round, which is not counted) and re-runs nothing.
+  mix::obs::MetricsRegistry Metrics;
+  MixyOptions Opts;
+  Opts.Metrics = &Metrics;
+  MixyStats Stats;
+  EXPECT_EQ(mixyWarnings(OrderedChainSource, Opts, &Stats), 1u) << LastDiags;
+  EXPECT_EQ(Metrics.counterValue("engine.worklist.reruns"), 0u);
+  EXPECT_EQ(Metrics.counterValue("engine.fixpoint.rounds"), 1u);
+  EXPECT_EQ(Metrics.counterValue("mixy.fixpoint_rounds"), 1u);
+  EXPECT_EQ(Stats.FixpointIterations, 1u);
+}
+
+TEST_F(MixyTest, FixpointRerunsSitesOnACycle) {
+  // The cycle needs a second round: use_block and x_from_y run before the
+  // null reaches x, and their sites must be evaluated again.
+  mix::obs::MetricsRegistry Metrics;
+  MixyOptions Opts;
+  Opts.Metrics = &Metrics;
+  MixyStats Stats;
+  EXPECT_EQ(mixyWarnings(CycleSource, Opts, &Stats), 1u) << LastDiags;
+  EXPECT_NE(LastDiags.find("sysutil_free"), std::string::npos) << LastDiags;
+  EXPECT_GT(Metrics.counterValue("engine.worklist.reruns"), 0u);
+  EXPECT_EQ(Metrics.counterValue("engine.fixpoint.rounds"), 2u);
+  EXPECT_EQ(Stats.FixpointIterations, 2u);
+}
+
+TEST_F(MixyTest, FixpointStopsAtTheRoundBound) {
+  // With room for one round, the loop stops before the null reaches the
+  // sink: the cycle's second round never runs.
+  mix::obs::MetricsRegistry Metrics;
+  MixyOptions Opts;
+  Opts.Metrics = &Metrics;
+  Opts.MaxFixpointIterations = 1;
+  MixyStats Stats;
+  EXPECT_EQ(mixyWarnings(CycleSource, Opts, &Stats), 0u) << LastDiags;
+  EXPECT_EQ(Metrics.counterValue("engine.fixpoint.rounds"), 1u);
+  EXPECT_EQ(Metrics.counterValue("engine.worklist.reruns"), 0u);
+  EXPECT_EQ(Stats.FixpointIterations, 1u);
+}
+
+TEST_F(MixyTest, FixpointPicksUpSitesFoundDuringARound) {
+  // late_block is first met in round 0, when use_block re-runs with x
+  // null and calls the typed reach. Its site is appended mid-round with
+  // y still nonnull; null_y then nulls y, so the next round must refresh
+  // and re-run the new site to find the error at the sink. (reach is
+  // analyzed once, so nothing else re-creates the site.)
+  const char *Source = R"(
+void sysutil_free(void * nonnull p_ptr) MIX(typed);
+int *x;
+int *y;
+void late_block(void) MIX(symbolic) {
+  sysutil_free((void*)y);
+}
+void reach(void) MIX(typed) {
+  late_block();
+}
+void use_block(void) MIX(symbolic) {
+  if (x == NULL)
+    reach();
+}
+void null_x(void) MIX(symbolic) {
+  x = NULL;
+}
+void null_y(void) MIX(symbolic) {
+  if (x == NULL)
+    y = NULL;
+}
+int main(void) {
+  use_block();
+  null_y();
+  null_x();
+  return 0;
+}
+)";
+  mix::obs::MetricsRegistry Metrics;
+  MixyOptions Opts;
+  Opts.Metrics = &Metrics;
+  // late_block holds the program's only sink.
+  EXPECT_EQ(mixyWarnings(Source, Opts), 1u) << LastDiags;
+  EXPECT_EQ(Metrics.counterValue("engine.fixpoint.rounds"), 2u);
 }
 
 TEST_F(MixyTest, TrueErrorsAreStillReported) {

@@ -155,7 +155,7 @@ TEST(SolverDiffTest, BackendsAgreeWithOracleOn5kFormulas) {
   };
   std::vector<Lane> Lanes;
   for (const std::string &Name : registeredBackends()) {
-    Lanes.push_back({Name, createBackend(Name, A, SmtOptions())});
+    Lanes.push_back({Name, createSolver({Name}, A, SmtOptions())});
     ASSERT_NE(Lanes.back().S, nullptr) << Name;
   }
 
@@ -211,7 +211,7 @@ TEST(SolverDiffTest, ModelsFromStacksSatisfyTheirConjunction) {
   DiffVars V(A);
   for (const std::string &Name : registeredBackends()) {
     SCOPED_TRACE("backend: " + Name);
-    std::unique_ptr<ISolver> S = createBackend(Name, A, SmtOptions());
+    std::unique_ptr<ISolver> S = createSolver({Name}, A, SmtOptions());
     ASSERT_NE(S, nullptr);
     std::unique_ptr<AssertionStack> St = S->openStack();
     for (unsigned I = 0; I != 500; ++I) {

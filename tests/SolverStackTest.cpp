@@ -35,7 +35,7 @@ template <typename Fn> void forEachBackend(Fn Body) {
   for (const std::string &Name : registeredBackends()) {
     SCOPED_TRACE("backend: " + Name);
     TermArena A;
-    std::unique_ptr<ISolver> S = createBackend(Name, A, SmtOptions());
+    std::unique_ptr<ISolver> S = createSolver({Name}, A, SmtOptions());
     ASSERT_NE(S, nullptr);
     std::unique_ptr<AssertionStack> Stack = S->openStack();
     ASSERT_NE(Stack, nullptr);
@@ -244,8 +244,8 @@ TEST(SolverStackTest, RandomBranchSequencesMatchFromScratch) {
     SCOPED_TRACE("backend: " + Name);
     TermArena A;
     VarPool V(A);
-    std::unique_ptr<ISolver> Inc = createBackend(Name, A, SmtOptions());
-    std::unique_ptr<ISolver> Scratch = createBackend(Name, A, SmtOptions());
+    std::unique_ptr<ISolver> Inc = createSolver({Name}, A, SmtOptions());
+    std::unique_ptr<ISolver> Scratch = createSolver({Name}, A, SmtOptions());
     ASSERT_TRUE(Inc && Scratch);
     for (unsigned Seq = 0; Seq != 1000; ++Seq) {
       std::mt19937 Rng(BaseSeed + Seq);
@@ -314,8 +314,8 @@ TEST(SolverStackTest, CheckPathMatchesFromScratch) {
     mix::obs::MetricsRegistry Reg;
     SmtOptions Opts;
     Opts.Metrics = &Reg;
-    std::unique_ptr<ISolver> Inc = createBackend(Name, A, Opts);
-    std::unique_ptr<ISolver> Scratch = createBackend(Name, A, SmtOptions());
+    std::unique_ptr<ISolver> Inc = createSolver({Name}, A, Opts);
+    std::unique_ptr<ISolver> Scratch = createSolver({Name}, A, SmtOptions());
     ASSERT_TRUE(Inc && Scratch);
     std::unique_ptr<AssertionStack> St = Inc->openStack();
     auto Check = [&](const PathCondition &PC, const Term *Extra,
@@ -504,7 +504,7 @@ TEST(SolverStackTest, CancelYieldsUnknownNeverUnsat) {
     SmtOptions Opts;
     Opts.Cancel = &Cancel;
     TermArena A;
-    std::unique_ptr<ISolver> S = createBackend(Name, A, Opts);
+    std::unique_ptr<ISolver> S = createSolver({Name}, A, Opts);
     ASSERT_NE(S, nullptr);
     const Term *X = A.freshIntVar("x");
     const Term *Positive = A.lt(A.intConst(0), X); // x > 0
